@@ -48,7 +48,10 @@ def current_order_cap() -> int:
 class Group:
     """Finite group on ids 0..order-1; id 0 is always the identity."""
 
-    __slots__ = ("order", "mul", "inv", "labels", "name", "_abelian", "__weakref__")
+    __slots__ = (
+        "order", "mul", "inv", "labels", "name",
+        "_abelian", "_normals", "_quotients", "__weakref__",
+    )
 
     identity = 0
 
@@ -59,6 +62,10 @@ class Group:
         self.labels = labels
         self.name = name
         self._abelian: Optional[bool] = None
+        # (class count, sorted normal subgroups), filled by normal_subgroups
+        self._normals: Optional[tuple[int, tuple[Subset, ...]]] = None
+        # quotient maps keyed by the normal subgroup's mask bytes
+        self._quotients: dict[bytes, "QuotientMap"] = {}
 
     @property
     def is_abelian(self) -> bool:
@@ -332,59 +339,44 @@ def is_normal(x: Subset) -> bool:
 
 
 def normal_subgroups(group: Group, *, class_cap: int = DEFAULT_CLASS_CAP) -> list[Subset]:
-    """All normal subgroups, each a union of conjugacy classes.
+    """All normal subgroups, ordered by (size, mask).
 
-    Walks the lattice of class-closed unions: starting from the identity
-    class, repeatedly adjoin one conjugacy class and close under products.
-    Every normal subgroup is a closure of this kind, and only subgroups are
-    ever visited, so the walk needs #normals * #classes closures rather than
-    an exponential scan of all unions.
+    Every normal subgroup N is the join of the normal closures <g^G> over
+    its elements g, and the join of two normal subgroups is their product
+    set.  So the list is the closure of {1} under N -> N*<C>, where <C> runs
+    over the subgroups generated by the conjugacy classes: #normals *
+    #classes products at most (Hulpke, "Computing normal subgroups", ISSAC
+    1998).  The result is memoised on the group; each call checks class_cap
+    and returns a fresh list.
     """
-    classes = conjugacy_classes(group)
-    k = len(classes)
+    memo = group._normals
+    if memo is None:
+        classes = conjugacy_classes(group)
+        k = len(classes)
+    else:
+        k = memo[0]
     if k > class_cap:
         raise ClassCountCapExceeded(f"{k} conjugacy classes exceed the cap of {class_cap}")
-    class_of = np.empty(group.order, dtype=np.int32)
-    for idx, cls in enumerate(classes):
-        class_of[cls.ids] = idx
-    memo: dict[frozenset[int], frozenset[int]] = {}
-
-    def close(idxs: frozenset[int]) -> frozenset[int]:
-        got = memo.get(idxs)
-        if got is not None:
-            return got
-        mask = np.zeros(group.order, dtype=bool)
-        for idx in idxs:
-            mask |= classes[idx].mask
-        cur = np.flatnonzero(mask)
-        while True:
-            nxt = np.unique(group.mul[np.ix_(cur, cur)])
-            if nxt.size == cur.size:
-                break
-            cur = nxt
-        result = frozenset(int(i) for i in np.unique(class_of[cur]))
-        memo[idxs] = result
-        return result
-
-    trivial = close(frozenset({int(class_of[group.identity])}))
-    found = {trivial}
-    queue = [trivial]
-    while queue:
-        base = queue.pop()
-        for cidx in range(k):
-            if cidx not in base:
-                grown = close(base | {cidx})
-                if grown not in found:
-                    found.add(grown)
-                    queue.append(grown)
-    out = []
-    for idxs in found:
-        mask = np.zeros(group.order, dtype=bool)
-        for idx in idxs:
-            mask |= classes[idx].mask
-        out.append(Subset(group, mask, _trusted=True))
-    out.sort(key=lambda s: (s.size, s.mask.tobytes()))
-    return out
+    if memo is None:
+        principals = {}
+        for cls in classes:
+            sub = subgroup_closure(cls)
+            principals.setdefault(sub.mask.tobytes(), sub)
+        trivial = Subset.singleton(group, group.identity)
+        found = {trivial.mask.tobytes(): trivial}
+        queue = [trivial]
+        while queue:
+            base = queue.pop()
+            for prin in principals.values():
+                if not prin.issubset(base):
+                    join = product(base, prin)
+                    key = join.mask.tobytes()
+                    if key not in found:
+                        found[key] = join
+                        queue.append(join)
+        normals = sorted(found.values(), key=lambda s: (s.size, s.mask.tobytes()))
+        memo = group._normals = (k, tuple(normals))
+    return list(memo[1])
 
 
 def commutator_subgroup(x: Subset, y: Subset) -> Subset:

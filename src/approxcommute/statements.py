@@ -8,7 +8,6 @@ slack = rhs - lhs is nonnegative exactly when the statement holds.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -27,11 +26,6 @@ from .group import (
 )
 from .probability import commuting_probability
 from .subset import Subset, is_symmetric, power
-
-# Quotient construction dominates some checks, and suites hit the same normal
-# subgroup thousands of times; cache per group, keyed by the subgroup mask.
-_quotient_cache: "weakref.WeakKeyDictionary[Group, dict[bytes, QuotientMap]]"
-_quotient_cache = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -78,16 +72,17 @@ def _require_subgroup(sid: str, h: Subset, label: str) -> None:
 
 
 def _quotient_by(sid: str, nsub: Subset) -> QuotientMap:
+    # Quotient construction dominates some checks, and suites hit the same
+    # normal subgroup thousands of times; the map is kept on the group.
     group = nsub.group
-    per_group = _quotient_cache.setdefault(group, {})
     key = nsub.mask.tobytes()
-    qmap = per_group.get(key)
+    qmap = group._quotients.get(key)
     if qmap is None:
         try:
             qmap = quotient(group, nsub)
         except (NotSubgroup, NotNormal) as exc:
             raise _fail(sid, f"N must be a normal subgroup: {exc}") from exc
-        per_group[key] = qmap
+        group._quotients[key] = qmap
     return qmap
 
 

@@ -108,19 +108,14 @@ class SuiteReport:
 
 
 class _Caches:
-    """Per-run memoization of the expensive per-group objects."""
+    """Per-run memoization of cyclic subgroups and greedy certificates.
+
+    Normal subgroups and quotient maps are memoised on the group itself.
+    """
 
     def __init__(self):
-        self._normals: dict[int, list[Subset]] = {}
         self._cyclics: dict[int, list[Subset]] = {}
         self._certs: dict[tuple[int, bytes], ApproxCertificate] = {}
-
-    def normals(self, group: Group) -> list[Subset]:
-        got = self._normals.get(id(group))
-        if got is None:
-            got = normal_subgroups(group)
-            self._normals[id(group)] = got
-        return got
 
     def cyclics(self, group: Group) -> list[Subset]:
         """Distinct cyclic subgroups, ordered by (size, mask)."""
@@ -190,7 +185,7 @@ def _subgroup_pool(group: Group, caches: _Caches) -> list[Subset]:
     pool = {}
     for sub in caches.cyclics(group):
         pool.setdefault(sub.mask.tobytes(), sub)
-    for sub in caches.normals(group):
+    for sub in normal_subgroups(group):
         pool.setdefault(sub.mask.tobytes(), sub)
     full = Subset.full(group)
     pool.setdefault(full.mask.tobytes(), full)
@@ -205,7 +200,7 @@ def _corpus_instances(
     full = Subset.full(group)
     if sid in ("P2.1", "P2.2", "C2.3a", "C2.3b"):
         with_k = sid.startswith("C2.3")
-        for nsub in caches.normals(group):
+        for nsub in normal_subgroups(group):
             for a in a_cands:
                 inst = {"a": a, "nsub": nsub}
                 if with_k:
@@ -243,7 +238,7 @@ def _corpus_instances(
                 yield {"h": h, "a": full, "b": b, "k": k_full}
     elif sid == "P1.3":
         t_pool = {}
-        for t in [caches.cyclics(group)[0], full] + caches.normals(group)[:6]:
+        for t in [caches.cyclics(group)[0], full] + normal_subgroups(group)[:6]:
             t_pool.setdefault(t.mask.tobytes(), t)
         b_cands = [full] + ([roles["A"]] if "A" in roles else [])
         for a in a_cands:
@@ -252,7 +247,7 @@ def _corpus_instances(
                     yield {"a": a, "b": b, "t": t}
     elif sid == "P1.4":
         c_pool = {}
-        for c in [caches.cyclics(group)[0], full] + caches.normals(group)[:4]:
+        for c in [caches.cyclics(group)[0], full] + normal_subgroups(group)[:4]:
             c_pool.setdefault(c.mask.tobytes(), c)
         for a in a_cands:
             k = caches.cert(a).k_cert
@@ -269,7 +264,7 @@ def _random_instance(
     group, _roles = groups[stream.below(len(groups))]
     density = stream.choice(_DENSITIES)
     if sid in ("P2.1", "P2.2", "C2.3a", "C2.3b"):
-        normals = caches.normals(group)
+        normals = normal_subgroups(group)
         nsub = normals[stream.below(len(normals))]
         a = random_symmetric_subset(group, density, stream)
         inst = {"a": a, "nsub": nsub}

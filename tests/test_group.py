@@ -6,6 +6,7 @@ import pytest
 from approxcommute import (
     ClassCountCapExceeded,
     EmptySet,
+    ExampleParams,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -14,6 +15,7 @@ from approxcommute import (
     NotSubgroup,
     OrderCapExceeded,
     Subset,
+    build_example,
     build_from_permutations,
     build_from_table,
     center,
@@ -25,6 +27,7 @@ from approxcommute import (
     is_normal,
     is_subgroup,
     normal_subgroups,
+    product,
     quotient,
     subgroup_closure,
 )
@@ -229,6 +232,39 @@ def test_normal_subgroups_frozen_counts(s3, d4, q8, c12):
 def test_normal_subgroups_class_cap(s3):
     with pytest.raises(ClassCountCapExceeded):
         normal_subgroups(corpus.cyclic(30), class_cap=10)
+
+
+@pytest.mark.parametrize(
+    "params, count", [((5, 2, 2), 15), ((6, 2, 3), 54)], ids=["5,2,2", "6,2,3"]
+)
+def test_normal_subgroups_complete_beyond_oracle(params, count):
+    # Orders 320 and 1152 lie beyond the brute-force oracle, so check the
+    # lattice properties that pin the list down instead.
+    group = build_example(ExampleParams(*params)).group
+    normals = normal_subgroups(group)
+    assert len(normals) == count
+    assert normals[0] == Subset.singleton(group, group.identity)
+    assert normals[-1] == Subset.full(group)
+    assert all(is_normal(n) for n in normals)
+    masks = {n.mask.tobytes() for n in normals}
+    assert len(masks) == count
+    for i, n in enumerate(normals):
+        for m in normals[i + 1 :]:
+            assert product(n, m).mask.tobytes() in masks
+    for cls in conjugacy_classes(group):
+        assert subgroup_closure(cls).mask.tobytes() in masks
+
+
+def test_normal_subgroups_memo_contract():
+    group = corpus.cyclic(30)
+    first = normal_subgroups(group)
+    assert normal_subgroups(group) == first
+    expected = list(first)
+    first.clear()
+    assert normal_subgroups(group) == expected
+    # the cap is checked on every call, not only the one that enumerates
+    with pytest.raises(ClassCountCapExceeded):
+        normal_subgroups(group, class_cap=10)
 
 
 def test_commutator_subgroup_matches_oracle(s3, d4, q8):

@@ -1,6 +1,8 @@
 """Statement registry: formulas pinned by hand-computed instances and oracles."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -255,6 +257,15 @@ def test_same_order_groups_do_not_share_quotients(s3):
     r_c6 = check("P2.1", a=Subset.full(c6), nsub=Subset.from_ids(c6, [0, 2, 4]))
     assert r_s3.lhs == Fraction(1, 2) and r_c6.lhs == 1
     assert r_c6.slack == 0 and r_s3.slack == Fraction(1, 2)
+
+
+def test_quotient_cache_lets_the_group_go():
+    group = cyclic(6)
+    check("P2.1", a=Subset.full(group), nsub=Subset.from_ids(group, [0, 2, 4]))
+    ref = weakref.ref(group)
+    del group
+    gc.collect()
+    assert ref() is None
 
 
 def test_default_k_uses_certificate(s3):
