@@ -8,8 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ApproxCommuteError, ExactCapExceeded, NoIdentity, NotSymmetric
-from .group import conjugacy_class_under
-from .subset import Subset, invert, is_symmetric, power, product
+from .subset import Subset, invert, is_symmetric, power, powers, product
 
 EXACT_UNIVERSE_CAP = 4096
 
@@ -142,8 +141,7 @@ def certify(
     if mode not in ("greedy", "exact"):
         raise ValueError(f"mode must be 'greedy' or 'exact', got {mode!r}")
     _require_certifiable(a)
-    a2 = power(a, 2)
-    a3 = product(a2, a)
+    _, a2, a3 = powers(a, 3)
     if mode == "exact" and a2.size > exact_cap:
         raise ExactCapExceeded(f"|a^2| = {a2.size} exceeds the exact-mode cap {exact_cap}")
     cands = _candidate_masks(a, a2)
@@ -171,12 +169,7 @@ def growth_constants(a: Subset, max_power: int) -> list[Fraction]:
         raise ValueError(f"max_power must be >= 2, got {max_power}")
     if a.size == 0:
         raise ApproxCommuteError("growth_constants needs a nonempty set")
-    out = []
-    acc = a
-    for _ in range(2, max_power + 1):
-        acc = product(acc, a)
-        out.append(Fraction(acc.size, a.size))
-    return out
+    return [Fraction(p.size, a.size) for p in powers(a, max_power)[1:]]
 
 
 def ruzsa_cover(a: Subset, y: Subset) -> Subset:
@@ -201,16 +194,3 @@ def ruzsa_cover(a: Subset, y: Subset) -> Subset:
         raise ApproxCommuteError("internal error: covering property failed")
     return cover
 
-
-def conjugate_growth_check(
-    a: Subset, cert: ApproxCertificate, g: int, n: int
-) -> tuple[bool, int, int]:
-    """Check |g^(a^n)| <= k_cert^(n-1) * |g^a|; returns (holds, lhs, rhs)."""
-    if cert.base != a:
-        raise ApproxCommuteError("certificate does not certify the given set")
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n}")
-    an = power(a, n)
-    lhs = conjugacy_class_under(g, an).size
-    rhs = cert.k_cert ** (n - 1) * conjugacy_class_under(g, a).size
-    return lhs <= rhs, lhs, rhs

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .approx import certify, conjugate_growth_check, growth_constants, ruzsa_cover
+from .approx import certify, growth_constants, ruzsa_cover
 from .errors import ApproxCommuteError, BadParams, SpecParseError
 from .family import ExampleParams, build_example, predicted_quantities
 from .probability import commuting_probability
@@ -26,13 +26,14 @@ from .specio import (
     LoadedGroup,
     certificate_to_dict,
     dump_json,
+    element_ids,
     load_group,
     load_subset,
     parse_rational,
     rational_str,
-    subset_ids,
     witness_to_dict,
 )
+from .statements import check
 from .subset import Subset, product
 from .suite import SuiteConfig, run_suite
 from .witness import bounded_conjugate_cover, witness_thm1, witness_thm2
@@ -129,6 +130,8 @@ def _cmd_witness(args) -> int:
     lg = _load_group_arg(args.group)
     a = _load_subset_arg(args.a, lg)
     epsilon = parse_rational(args.epsilon) if args.epsilon else None
+    if epsilon is not None and not 0 < epsilon <= 1:
+        raise SpecParseError(f"--epsilon must lie in (0, 1], got {epsilon}")
     if args.route == "thm1":
         report = witness_thm1(a, epsilon)
     else:
@@ -139,8 +142,8 @@ def _cmd_witness(args) -> int:
 
 def _cmd_example(args) -> int:
     params = ExampleParams(args.n, args.k, args.u)
+    inst = build_example(params)
     if args.emit == "group":
-        inst = build_example(params)
         _emit(
             {
                 "kind": "table",
@@ -152,14 +155,13 @@ def _cmd_example(args) -> int:
             }
         )
         return 0
-    inst = build_example(params)
     predicted = predicted_quantities(params)
     _emit(
         {
             "schema": SCHEMA_VERSION,
             "params": {"n": params.n, "k": params.k, "u": params.u_order},
             "order": inst.group.order,
-            "roles": {name: subset_ids(sub) for name, sub in inst.roles.items()},
+            "roles": {name: sub.id_list() for name, sub in inst.roles.items()},
             "predicted": {
                 key: value if isinstance(value, int) else rational_str(value)
                 for key, value in predicted.items()
@@ -181,27 +183,27 @@ def _cmd_cover(args) -> int:
             {
                 "schema": SCHEMA_VERSION,
                 "group": lg.group.name,
-                "f": subset_ids(f),
+                "f": f.id_list(),
                 "size": f.size,
                 "bound": rational_str(Fraction(ay.size, y.size)),
             }
         )
         return 0
-    gs = _parse_ids(args.elements)
+    gs = element_ids(_parse_ids(args.elements), lg.group, "--elements")
+    if not gs:
+        raise SpecParseError("--elements needs at least one element id")
     cert = certify(a, "exact" if args.exact else "greedy")
     d_set, translates = bounded_conjugate_cover(a, cert, gs)
-    growth = [
-        conjugate_growth_check(a, cert, g, 2) for g in gs
-    ]
+    growth = [check("L2.6", a=a, g=g, n=2, k=cert.k_cert) for g in gs]
     _emit(
         {
             "schema": SCHEMA_VERSION,
             "group": lg.group.name,
-            "d": subset_ids(d_set),
+            "d": d_set.id_list(),
             "translates": translates,
             "growth_checks": [
-                {"holds": holds, "lhs": int(lhs), "rhs": int(rhs)}
-                for holds, lhs, rhs in growth
+                {"holds": r.holds, "lhs": int(r.lhs), "rhs": int(r.rhs)}
+                for r in growth
             ],
         }
     )

@@ -10,12 +10,13 @@ one.
 from __future__ import annotations
 
 import re
+from math import factorial
 
 import numpy as np
 
-from .errors import BadParams
+from .errors import BadParams, OrderCapExceeded
 from .family import ExampleInstance, ExampleParams, build_example
-from .group import Group, build_from_permutations, build_from_table
+from .group import Group, build_from_permutations, build_from_table, current_order_cap
 
 
 def cyclic(n: int) -> Group:
@@ -89,14 +90,27 @@ _BUILDERS = {
 
 
 def named(name: str) -> Group:
-    """Build a group from a shorthand name like C12, D4, S5, A5, or Q8."""
+    """Build a group from a shorthand name like C12, D4, S5, A5, or Q8.
+
+    The order follows from the name, so a group above the order cap is
+    refused before anything is built.
+    """
     match = _NAME_RE.match(name.strip())
     if not match:
         raise BadParams(
             f"unrecognized group name {name!r}; expected C<n>, D<k>, S<n>, "
             "A<n>, or Q<order>"
         )
-    return _BUILDERS[match.group(1)](int(match.group(2)))
+    kind, param = match.group(1), int(match.group(2))
+    if kind in "SA":  # past degree 20 a lower bound will do for the cap
+        order = factorial(min(param, 20)) // (2 if kind == "A" else 1)
+    else:
+        order = 2 * param if kind == "D" else param
+    cap = current_order_cap()
+    if order > cap:
+        at_least = "at least " if kind in "SA" and param > 20 else ""
+        raise OrderCapExceeded(f"{kind}{param} has order {at_least}{order}, above the cap {cap}")
+    return _BUILDERS[kind](param)
 
 # Orders stay at or below 320 so the whole corpus builds in seconds and the
 # brute-force oracles in the test suite remain feasible.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -25,10 +25,9 @@ from .subset import Subset, product
 
 DEFAULT_ORDER_CAP = 2000
 ORDER_CAP_ENV = "APPROXCOMMUTE_ORDER_CAP"
-EXHAUSTIVE_ASSOC_CAP = 512
 PERM_CLOSURE_CAP = 20000
 DEFAULT_CLASS_CAP = 1024
-_ASSOC_SAMPLE_SEED = 0xA50C1A7E
+T = TypeVar("T")
 
 
 def current_order_cap() -> int:
@@ -48,10 +47,7 @@ def current_order_cap() -> int:
 class Group:
     """Finite group on ids 0..order-1; id 0 is always the identity."""
 
-    __slots__ = (
-        "order", "mul", "inv", "labels", "name",
-        "_abelian", "_normals", "_quotients", "__weakref__",
-    )
+    __slots__ = ("order", "mul", "inv", "labels", "name", "_derived", "__weakref__")
 
     identity = 0
 
@@ -61,17 +57,21 @@ class Group:
         self.inv = inv
         self.labels = labels
         self.name = name
-        self._abelian: Optional[bool] = None
-        # (class count, sorted normal subgroups), filled by normal_subgroups
-        self._normals: Optional[tuple[int, tuple[Subset, ...]]] = None
-        # quotient maps keyed by the normal subgroup's mask bytes
-        self._quotients: dict[bytes, "QuotientMap"] = {}
+        self._derived: dict = {}
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The per-group data under key, made by build() on first use.
+
+        Holds the commute matrix, conjugacy classes, normal and cyclic
+        subgroups, quotient maps and the suite's greedy k per set.
+        """
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     @property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.mul, self.mul.T))
-        return self._abelian
+        return bool(commute_matrix(self).all())
 
     def element_label(self, g: int) -> str:
         if self.labels is not None:
@@ -127,43 +127,39 @@ def _find_identity(mul: np.ndarray) -> int:
     raise NoIdentity("no two-sided identity element in the table")
 
 
-def _check_associative(mul: np.ndarray, exhaustive_cap: int) -> None:
+def _check_associative(mul: np.ndarray) -> None:
+    """Light's test: exact at every order.
+
+    When (x*a)*y == x*(a*y) for all x, y, the same holds for every product
+    of such elements a (Clifford & Preston I, 1961, section 1.2), so checking
+    a generating set suffices.  Each generator is the least id not yet
+    reached from the identity by right multiplication with the earlier ones;
+    the reached set is then a subgroup and at least doubles with each new
+    generator, so at most log2(n) + 1 checks of n^2 products each are made.
+    """
     n = mul.shape[0]
-    if n <= exhaustive_cap:
-        for x in range(n):
-            row = mul[x]
-            lhs = mul[row]  # lhs[y, z] = (x*y)*z
-            rhs = row[mul]  # rhs[y, z] = x*(y*z)
-            if not np.array_equal(lhs, rhs):
-                y, z = map(int, np.argwhere(lhs != rhs)[0])
-                raise NotAssociative(f"({x}*{y})*{z} != {x}*({y}*{z})")
-        return
-    # sampled regime: 10*n^2 random triples from a fixed seed
-    rng = np.random.default_rng(_ASSOC_SAMPLE_SEED)
-    remaining = 10 * n * n
-    chunk = 1 << 20
-    while remaining > 0:
-        m = min(chunk, remaining)
-        xs = rng.integers(0, n, m)
-        ys = rng.integers(0, n, m)
-        zs = rng.integers(0, n, m)
-        bad = mul[mul[xs, ys], zs] != mul[xs, mul[ys, zs]]
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NotAssociative(
-                f"({int(xs[i])}*{int(ys[i])})*{int(zs[i])} != "
-                f"{int(xs[i])}*({int(ys[i])}*{int(zs[i])})"
-            )
-        remaining -= m
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        a = int(np.argmin(reached))
+        lhs = mul[mul[:, a]]  # lhs[x, y] = (x*a)*y
+        rhs = mul[:, mul[a]]  # rhs[x, y] = x*(a*y)
+        if not np.array_equal(lhs, rhs):
+            x, y = map(int, np.argwhere(lhs != rhs)[0])
+            raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+        gens.append(a)
+        frontier = mul[reached, a]
+        while True:
+            frontier = np.unique(frontier[~reached[frontier]])
+            if frontier.size == 0:
+                break
+            reached[frontier] = True
+            frontier = mul[np.ix_(frontier, gens)].ravel()
 
 
 def _finalize_table(
-    table,
-    labels: Optional[Sequence[str]],
-    name: Optional[str],
-    *,
-    check_assoc: bool,
-    exhaustive_cap: int = EXHAUSTIVE_ASSOC_CAP,
+    table, labels: Optional[Sequence[str]], name: Optional[str], *, check_assoc: bool
 ) -> Group:
     mul = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
     _check_latin(mul)
@@ -185,7 +181,7 @@ def _finalize_table(
         x = int(np.flatnonzero(mul[inv, np.arange(n)] != 0)[0])
         raise NoInverse(f"element {x} has no two-sided inverse")
     if check_assoc:
-        _check_associative(mul, exhaustive_cap)
+        _check_associative(mul)
     mul.flags.writeable = False
     inv.flags.writeable = False
     if labels is not None:
@@ -198,8 +194,8 @@ def build_from_table(table, *, labels: Optional[Sequence[str]] = None, name: Opt
 
     Checks the Latin-square property, locates the two-sided identity
     (relabelling it to id 0 when needed), derives two-sided inverses, and
-    checks associativity exhaustively up to order 512 (10*n^2 fixed-seed
-    random triples above that).
+    checks associativity exactly by Light's test over a generating set, in
+    O(n^2 log n).
     """
     return _finalize_table(table, labels, name, check_assoc=True)
 
@@ -284,11 +280,20 @@ def subgroup_closure(seed: Subset) -> Subset:
         cur = nxt
 
 
+def commute_matrix(group: Group) -> np.ndarray:
+    """Read-only bool matrix whose entry [a, b] says a*b == b*a."""
+
+    def build() -> np.ndarray:
+        eq = group.mul == group.mul.T
+        eq.flags.writeable = False
+        return eq
+
+    return group.derived("commute", build)
+
+
 def centralizer_in(x: Subset, g: int) -> Subset:
     """Elements of x commuting with g."""
-    group = x.group
-    eq = group.mul[:, g] == group.mul[g, :]
-    return Subset(group, x.mask & eq, _trusted=True)
+    return Subset(x.group, x.mask & commute_matrix(x.group)[g], _trusted=True)
 
 
 def conjugacy_class_under(g: int, x: Subset) -> Subset:
@@ -316,7 +321,7 @@ def conjugacy_classes(group: Group) -> list[Subset]:
 
 def center(group: Group) -> Subset:
     """Elements commuting with everything."""
-    return Subset(group, np.all(group.mul == group.mul.T, axis=1), _trusted=True)
+    return Subset(group, commute_matrix(group).all(axis=1), _trusted=True)
 
 
 def is_subgroup(x: Subset) -> bool:
@@ -338,6 +343,23 @@ def is_normal(x: Subset) -> bool:
     return True
 
 
+def _by_size_and_mask(sub: Subset) -> tuple[int, bytes]:
+    return sub.size, sub.mask.tobytes()
+
+
+def cyclic_subgroups(group: Group) -> list[Subset]:
+    """Distinct cyclic subgroups, ordered by (size, mask); memoised on the group."""
+
+    def build() -> tuple[Subset, ...]:
+        found = {}
+        for g in range(group.order):
+            sub = subgroup_closure(Subset.singleton(group, g))
+            found.setdefault(sub.mask.tobytes(), sub)
+        return tuple(sorted(found.values(), key=_by_size_and_mask))
+
+    return list(group.derived("cyclics", build))
+
+
 def normal_subgroups(group: Group, *, class_cap: int = DEFAULT_CLASS_CAP) -> list[Subset]:
     """All normal subgroups, ordered by (size, mask).
 
@@ -346,18 +368,16 @@ def normal_subgroups(group: Group, *, class_cap: int = DEFAULT_CLASS_CAP) -> lis
     set.  So the list is the closure of {1} under N -> N*<C>, where <C> runs
     over the subgroups generated by the conjugacy classes: #normals *
     #classes products at most (Hulpke, "Computing normal subgroups", ISSAC
-    1998).  The result is memoised on the group; each call checks class_cap
-    and returns a fresh list.
+    1998).  The classes and the result are memoised on the group; each call
+    checks class_cap and returns a fresh list.
     """
-    memo = group._normals
-    if memo is None:
-        classes = conjugacy_classes(group)
-        k = len(classes)
-    else:
-        k = memo[0]
-    if k > class_cap:
-        raise ClassCountCapExceeded(f"{k} conjugacy classes exceed the cap of {class_cap}")
-    if memo is None:
+    classes = group.derived("classes", lambda: tuple(conjugacy_classes(group)))
+    if len(classes) > class_cap:
+        raise ClassCountCapExceeded(
+            f"{len(classes)} conjugacy classes exceed the cap of {class_cap}"
+        )
+
+    def build() -> tuple[Subset, ...]:
         principals = {}
         for cls in classes:
             sub = subgroup_closure(cls)
@@ -374,9 +394,9 @@ def normal_subgroups(group: Group, *, class_cap: int = DEFAULT_CLASS_CAP) -> lis
                     if key not in found:
                         found[key] = join
                         queue.append(join)
-        normals = sorted(found.values(), key=lambda s: (s.size, s.mask.tobytes()))
-        memo = group._normals = (k, tuple(normals))
-    return list(memo[1])
+        return tuple(sorted(found.values(), key=_by_size_and_mask))
+
+    return list(group.derived("normals", build))
 
 
 def commutator_subgroup(x: Subset, y: Subset) -> Subset:

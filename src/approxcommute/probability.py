@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptySet, GroupMismatch
+from .group import commute_matrix
 from .subset import Subset
 
 
@@ -19,12 +20,7 @@ def _require_usable(x: Subset, y: Subset) -> None:
 
 def _centralizer_counts(x: Subset, y: Subset) -> np.ndarray:
     """|C_x(g)| for each g in y, in y's id order."""
-    group = x.group
-    counts = np.empty(y.size, dtype=np.int64)
-    for i, g in enumerate(y.ids):
-        eq = group.mul[:, g] == group.mul[g, :]
-        counts[i] = int(np.count_nonzero(eq & x.mask))
-    return counts
+    return np.count_nonzero(commute_matrix(x.group)[y.ids] & x.mask, axis=1)
 
 
 def commuting_probability(x: Subset, y: Subset) -> Fraction:

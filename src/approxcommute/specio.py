@@ -124,24 +124,33 @@ def load_group(spec, *, order_cap: Optional[int] = None) -> LoadedGroup:
     )
 
 
+def element_ids(ids, group: Group, what: str) -> list[int]:
+    """ids as ints, each checked to name an element of the group."""
+    if not isinstance(ids, list):
+        raise SpecParseError(f"{what} must be an array of element ids")
+    try:
+        out = [int(i) for i in ids]
+    except (TypeError, ValueError) as exc:
+        raise SpecParseError(f"{what} holds a non-integer id: {exc}") from exc
+    bad = [i for i in out if not 0 <= i < group.order]
+    if bad:
+        raise SpecParseError(f"{what}: ids {bad} out of range [0, {group.order})")
+    return out
+
+
 def load_subset(spec, loaded: LoadedGroup) -> Subset:
     """Build a subset from its spec dict (or JSON file path) against a group."""
     spec = _as_spec_dict(spec, "subset")
     group = loaded.group
     if "elements" in spec:
-        ids = spec["elements"]
-        if not isinstance(ids, list):
-            raise SpecParseError('"elements" must be an array of element ids')
-        return Subset.from_ids(group, [int(i) for i in ids])
+        return Subset.from_ids(group, element_ids(spec["elements"], group, '"elements"'))
     if spec.get("all"):
         return Subset.full(group)
     if "subgroup_generated_by" in spec:
-        gens = spec["subgroup_generated_by"]
-        if not isinstance(gens, list):
-            raise SpecParseError('"subgroup_generated_by" must be an array of ids')
+        gens = element_ids(spec["subgroup_generated_by"], group, '"subgroup_generated_by"')
         if not gens:
             return Subset.singleton(group, group.identity)
-        return subgroup_closure(Subset.from_ids(group, [int(i) for i in gens]))
+        return subgroup_closure(Subset.from_ids(group, gens))
     if "role" in spec:
         role = spec["role"]
         if role not in loaded.roles:
@@ -153,14 +162,10 @@ def load_subset(spec, loaded: LoadedGroup) -> Subset:
     )
 
 
-def subset_ids(x: Subset) -> list[int]:
-    return x.id_list()
-
-
 def certificate_to_dict(cert: ApproxCertificate) -> dict:
     return {
         "k": cert.k_cert,
-        "cover": subset_ids(cert.cover),
+        "cover": cert.cover.id_list(),
         "mode": cert.mode,
         "base_size": cert.base.size,
         "doubling": rational_str(cert.doubling),
@@ -170,13 +175,13 @@ def certificate_to_dict(cert: ApproxCertificate) -> dict:
 
 def extraction_to_dict(ext: CoreExtraction) -> dict:
     return {
-        "h": subset_ids(ext.h),
+        "h": ext.h.id_list(),
         "u_size": ext.u.size,
         "epsilon": rational_str(ext.epsilon),
         "k_u": ext.k_u,
         "class_threshold": rational_str(ext.class_threshold),
-        "x": subset_ids(ext.x),
-        "b": subset_ids(ext.b),
+        "x": ext.x.id_list(),
+        "b": ext.b.id_list(),
         "b_closure_size": ext.b_closure.size,
         "b_cert": certificate_to_dict(ext.b_cert),
         "class_bound_m": ext.class_bound_m,
@@ -191,24 +196,24 @@ def witness_to_dict(report: WitnessReport) -> dict:
         "theorem": report.theorem,
         "group": report.a.group.name,
         "group_order": report.a.group.order,
-        "a": subset_ids(report.a),
+        "a": report.a.id_list(),
         "k_cert": report.k_cert,
         "epsilon": rational_str(report.epsilon),
         "gamma": rational_str(report.gamma),
         "extractions": [extraction_to_dict(e) for e in report.extractions],
     }
     if report.t is not None:
-        out["t"] = subset_ids(report.t)
+        out["t"] = report.t.id_list()
         out["index_g_t"] = report.index_g_t
         out["commutator_size"] = report.commutator_size
     if report.c is not None:
-        out["y"] = subset_ids(report.y)
-        out["c"] = subset_ids(report.c)
+        out["y"] = report.y.id_list()
+        out["c"] = report.c.id_list()
         out["c_prime_size"] = report.c_prime_size
         out["k_tilde"] = rational_str(report.k_tilde)
         out["eta"] = rational_str(report.eta)
         out["coset_count"] = report.coset_count
-        out["cover_f"] = subset_ids(report.cover_f)
+        out["cover_f"] = report.cover_f.id_list()
     return out
 
 

@@ -25,7 +25,7 @@ from .group import (
     subgroup_closure,
 )
 from .probability import commuting_probability
-from .subset import Subset, is_symmetric, power
+from .subset import Subset, is_symmetric, power, powers
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,12 @@ def _quotient_by(sid: str, nsub: Subset) -> QuotientMap:
     # Quotient construction dominates some checks, and suites hit the same
     # normal subgroup thousands of times; the map is kept on the group.
     group = nsub.group
-    key = nsub.mask.tobytes()
-    qmap = group._quotients.get(key)
-    if qmap is None:
-        try:
-            qmap = quotient(group, nsub)
-        except (NotSubgroup, NotNormal) as exc:
-            raise _fail(sid, f"N must be a normal subgroup: {exc}") from exc
-        group._quotients[key] = qmap
-    return qmap
+    try:
+        return group.derived(
+            ("quotient", nsub.mask.tobytes()), lambda: quotient(group, nsub)
+        )
+    except (NotSubgroup, NotNormal) as exc:
+        raise _fail(sid, f"N must be a normal subgroup: {exc}") from exc
 
 
 def _cert_k(a: Subset, k: Optional[int]) -> int:
@@ -109,8 +106,7 @@ def _quotient_factor(sid: str, a: Subset, nsub: Subset, ambient: bool) -> Fracti
 
 def _p21(sid, a: Subset, nsub: Subset) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
-    a4 = power(a, 4)
-    a5 = power(a, 5)
+    *_, a4, a5 = powers(a, 5)
     lhs = _pr_full(a)
     rhs = (
         Fraction(a5.size, a.size)
@@ -122,10 +118,7 @@ def _p21(sid, a: Subset, nsub: Subset) -> tuple[Fraction, Fraction]:
 
 def _p22(sid, a: Subset, nsub: Subset) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
-    a2 = power(a, 2)
-    a3 = power(a, 3)
-    a4 = power(a, 4)
-    a5 = power(a, 5)
+    _, a2, a3, a4, a5 = powers(a, 5)
     lhs = commuting_probability(a, a)
     rhs = (
         Fraction(a3.size * a5.size, a.size**2)
@@ -151,8 +144,7 @@ def _c23a(sid, a, nsub, k=None):
 def _c23b(sid, a, nsub, k=None):
     _require_approx(sid, a)
     kk = _cert_k(a, k)
-    a2 = power(a, 2)
-    a4 = power(a, 4)
+    _, a2, _, a4 = powers(a, 4)
     lhs = commuting_probability(a, a)
     rhs = (
         Fraction(kk**6)
@@ -210,10 +202,11 @@ def _p27(sid, a1: Subset, a2: Subset, b: Subset) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a2, "A2")
     _require(a1.issubset(a2), sid, "A1 must be contained in A2")
     _require(b.size > 0, sid, "B is empty")
-    k1 = Fraction(power(a1, 2).size, a1.size)
+    a1_sq = power(a1, 2)
+    k1 = Fraction(a1_sq.size, a1.size)
     k2 = Fraction(power(a2, 2).size, a2.size)
     lhs = commuting_probability(a2, b) / (k1 * k2)
-    rhs = commuting_probability(power(a1, 2), b)
+    rhs = commuting_probability(a1_sq, b)
     return lhs, rhs
 
 

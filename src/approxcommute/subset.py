@@ -144,17 +144,27 @@ def product(x: Subset, y: Subset) -> Subset:
     return Subset(group, out, _trusted=True)
 
 
-def power(x: Subset, j: int) -> Subset:
-    """j-fold product set x^j; x^1 is x itself."""
+def powers(x: Subset, j: int) -> list[Subset]:
+    """The chain [x^1, ..., x^j], one product per step.
+
+    Once x^(i+1) == x^i every higher power equals it, so the rest of the
+    chain repeats that set without further products.
+    """
     if j < 1:
         raise ValueError(f"power exponent must be >= 1, got {j}")
-    acc = x
-    for _ in range(j - 1):
-        nxt = product(acc, x)
-        if nxt == acc:  # stabilized, all higher powers are equal
-            return acc
-        acc = nxt
-    return acc
+    chain = [x]
+    while len(chain) < j:
+        nxt = product(chain[-1], x)
+        if nxt == chain[-1]:  # stabilized
+            chain += [chain[-1]] * (j - len(chain))
+            break
+        chain.append(nxt)
+    return chain
+
+
+def power(x: Subset, j: int) -> Subset:
+    """j-fold product set x^j; x^1 is x itself."""
+    return powers(x, j)[-1]
 
 
 def invert(x: Subset) -> Subset:

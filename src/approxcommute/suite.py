@@ -17,9 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .approx import ApproxCertificate, certify
+from .approx import certify
 from .errors import SpecParseError
-from .group import Group, normal_subgroups, subgroup_closure
+from .group import Group, cyclic_subgroups, normal_subgroups, subgroup_closure
 from .rng import SplitMix64, derive_seed
 from .specio import (
     SCHEMA_VERSION,
@@ -107,35 +107,11 @@ class SuiteReport:
         return doc
 
 
-class _Caches:
-    """Per-run memoization of cyclic subgroups and greedy certificates.
-
-    Normal subgroups and quotient maps are memoised on the group itself.
-    """
-
-    def __init__(self):
-        self._cyclics: dict[int, list[Subset]] = {}
-        self._certs: dict[tuple[int, bytes], ApproxCertificate] = {}
-
-    def cyclics(self, group: Group) -> list[Subset]:
-        """Distinct cyclic subgroups, ordered by (size, mask)."""
-        got = self._cyclics.get(id(group))
-        if got is None:
-            seen = {}
-            for g in range(group.order):
-                sub = subgroup_closure(Subset.singleton(group, g))
-                seen.setdefault(sub.mask.tobytes(), sub)
-            got = sorted(seen.values(), key=lambda s: (s.size, s.mask.tobytes()))
-            self._cyclics[id(group)] = got
-        return got
-
-    def cert(self, a: Subset) -> ApproxCertificate:
-        key = (id(a.group), a.mask.tobytes())
-        got = self._certs.get(key)
-        if got is None:
-            got = certify(a, "greedy")
-            self._certs[key] = got
-        return got
+def _greedy_k(a: Subset) -> int:
+    """k_cert of the greedy certificate of a corpus set, memoised on its group."""
+    return a.group.derived(
+        ("greedy_k", a.mask.tobytes()), lambda: certify(a, "greedy").k_cert
+    )
 
 
 def random_symmetric_subset(group: Group, density, stream: SplitMix64) -> Subset:
@@ -181,9 +157,9 @@ def _a_candidates(group: Group, roles: dict) -> list[Subset]:
     return list(deduped.values())
 
 
-def _subgroup_pool(group: Group, caches: _Caches) -> list[Subset]:
+def _subgroup_pool(group: Group) -> list[Subset]:
     pool = {}
-    for sub in caches.cyclics(group):
+    for sub in cyclic_subgroups(group):
         pool.setdefault(sub.mask.tobytes(), sub)
     for sub in normal_subgroups(group):
         pool.setdefault(sub.mask.tobytes(), sub)
@@ -192,22 +168,21 @@ def _subgroup_pool(group: Group, caches: _Caches) -> list[Subset]:
     return sorted(pool.values(), key=lambda s: (s.size, s.mask.tobytes()))
 
 
-def _corpus_instances(
-    sid: str, group: Group, roles: dict, caches: _Caches
-) -> Iterator[dict]:
+def _corpus_instances(sid: str, group: Group, roles: dict) -> Iterator[dict]:
     """Deterministic structured instances of one statement on one group."""
     a_cands = _a_candidates(group, roles)
     full = Subset.full(group)
+    trivial = Subset.singleton(group, group.identity)
     if sid in ("P2.1", "P2.2", "C2.3a", "C2.3b"):
         with_k = sid.startswith("C2.3")
         for nsub in normal_subgroups(group):
             for a in a_cands:
                 inst = {"a": a, "nsub": nsub}
                 if with_k:
-                    inst["k"] = caches.cert(a).k_cert
+                    inst["k"] = _greedy_k(a)
                 yield inst
     elif sid == "Sub-mono":
-        pool = _subgroup_pool(group, caches)
+        pool = _subgroup_pool(group)
         for h2 in pool:
             for h1 in pool:
                 if h1.issubset(h2):
@@ -218,7 +193,7 @@ def _corpus_instances(
                 yield {"a": a, "g": g}
     elif sid == "L2.6":
         for a in a_cands:
-            k = caches.cert(a).k_cert
+            k = _greedy_k(a)
             for g in a.id_list()[:6]:
                 for n in (2, 3):
                     yield {"a": a, "g": g, "n": n, "k": k}
@@ -229,16 +204,16 @@ def _corpus_instances(
                     for b in (full, Subset.singleton(group, group.order - 1)):
                         yield {"a1": a1, "a2": a2, "b": b}
     elif sid == "C2.8":
-        subs = list(caches.cyclics(group))
+        subs = cyclic_subgroups(group)
         if "H" in roles:
             subs.append(roles["H"])
-        k_full = caches.cert(full).k_cert
+        k_full = _greedy_k(full)
         for h in subs:
             for b in (full, Subset.singleton(group, group.order - 1)):
                 yield {"h": h, "a": full, "b": b, "k": k_full}
     elif sid == "P1.3":
         t_pool = {}
-        for t in [caches.cyclics(group)[0], full] + normal_subgroups(group)[:6]:
+        for t in [trivial, full] + normal_subgroups(group)[:6]:
             t_pool.setdefault(t.mask.tobytes(), t)
         b_cands = [full] + ([roles["A"]] if "A" in roles else [])
         for a in a_cands:
@@ -247,19 +222,17 @@ def _corpus_instances(
                     yield {"a": a, "b": b, "t": t}
     elif sid == "P1.4":
         c_pool = {}
-        for c in [caches.cyclics(group)[0], full] + normal_subgroups(group)[:4]:
+        for c in [trivial, full] + normal_subgroups(group)[:4]:
             c_pool.setdefault(c.mask.tobytes(), c)
         for a in a_cands:
-            k = caches.cert(a).k_cert
+            k = _greedy_k(a)
             for c in c_pool.values():
                 yield {"a": a, "c": c, "k": k}
     else:
         raise KeyError(f"no corpus instance builder for statement {sid!r}")
 
 
-def _random_instance(
-    sid: str, groups: list[tuple[Group, dict]], stream: SplitMix64, caches: _Caches
-) -> dict:
+def _random_instance(sid: str, groups: list[tuple[Group, dict]], stream: SplitMix64) -> dict:
     """One random instance of a statement, valid by construction."""
     group, _roles = groups[stream.below(len(groups))]
     density = stream.choice(_DENSITIES)
@@ -352,7 +325,6 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     cap = config.order_cap if config.order_cap is not None else current_order_cap()
     groups = _load_corpus(config, cap)
     sids = list(config.statements) if config.statements else statement_ids()
-    caches = _Caches()
     statements_out: dict[str, dict] = {}
     timing_stmt: dict[str, float] = {}
 
@@ -379,7 +351,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 tightest = key
 
         for g_index, (group, roles) in enumerate(groups):
-            for i, inst in enumerate(_corpus_instances(sid, group, roles, caches)):
+            for i, inst in enumerate(_corpus_instances(sid, group, roles)):
                 key = f"{sid}/corpus/{g_index}.{group.name}/{i}"
                 if config.only is not None and key != config.only:
                     continue
@@ -389,7 +361,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             if config.only is not None and key != config.only:
                 continue
             stream = SplitMix64(derive_seed(config.seed, sid, idx))
-            inst = _random_instance(sid, groups, stream, caches)
+            inst = _random_instance(sid, groups, stream)
             record(key, check(sid, description=key, **inst))
 
         statements_out[sid] = {

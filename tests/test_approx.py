@@ -12,7 +12,6 @@ from approxcommute import (
     NotSymmetric,
     Subset,
     certify,
-    conjugate_growth_check,
     dihedral,
     growth_constants,
     invert,
@@ -165,25 +164,6 @@ def test_ruzsa_cover_bounds_and_coverage(s3, d4, q8):
 def test_ruzsa_cover_rejects_empty(s3):
     with pytest.raises(ApproxCommuteError):
         ruzsa_cover(Subset.from_ids(s3, []), Subset.full(s3))
-
-
-def test_conjugate_growth_check(family_311):
-    a = family_311.subset("A")
-    cert = certify(a, "exact")
-    nontrivial = next(g for g in a.id_list() if g != 0)
-    holds, lhs, rhs = conjugate_growth_check(a, cert, nontrivial, 3)
-    assert holds and lhs <= rhs
-    # n = 1 compares the class with itself.
-    holds1, lhs1, rhs1 = conjugate_growth_check(a, cert, nontrivial, 1)
-    assert holds1 and lhs1 == rhs1
-    with pytest.raises(ValueError):
-        conjugate_growth_check(a, cert, nontrivial, 0)
-
-
-def test_conjugate_growth_check_requires_matching_certificate(s3, family_311):
-    cert = certify(Subset.full(s3))
-    with pytest.raises(ApproxCommuteError):
-        conjugate_growth_check(family_311.subset("A"), cert, 0, 2)
 
 
 def test_power_ratio_consistency(q8):

@@ -320,8 +320,28 @@ def test_mul_table_is_readonly(s3):
 def test_sampled_associativity_on_large_group():
     group = corpus.cyclic(600)
     assert group.order == 600
-    # 600 > exhaustive cap; construction relies on the sampled check.
+    # Construction runs Light's test, which is exact at every order.
     assert group.mul[599, 1] == 0
+
+
+def test_rejects_non_associative_table_above_order_512():
+    # Shifting the intercalate at rows 5, 305 and columns 7, 307 of C600 by
+    # 300 swaps the values 12 and 312 in it: still Latin with identity 0, but
+    # (4*1)*7 = 312 while 4*(1*7) = 12.
+    table = np.array(corpus.cyclic(600).mul)
+    for i in (5, 305):
+        for j in (7, 307):
+            table[i, j] = (table[i, j] + 300) % 600
+    with pytest.raises(NotAssociative):
+        build_from_table(table)
+
+
+def test_named_respects_order_cap(monkeypatch):
+    monkeypatch.setenv("APPROXCOMMUTE_ORDER_CAP", "10")
+    for name in ("C60", "S4"):
+        with pytest.raises(OrderCapExceeded):
+            corpus.named(name)
+    assert corpus.named("D5").order == 10
 
 
 def test_order_cap_env_override(monkeypatch):

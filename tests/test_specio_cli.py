@@ -302,3 +302,34 @@ def test_cli_json_errors(capsys):
     # Without the flag, stderr stays human-readable.
     code, _, err = run_cli(capsys, "certify", "S3", "0,2")
     assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pr", "S3", "all", "99"],
+        ["pr", "S3", "all", "gen:7"],
+        ["witness", "thm1", "S3", "all", "--epsilon", "2"],
+        ["witness", "thm2", "S3", "all", "--epsilon", "0"],
+        ["cover", "conjugate", "S3", "all", "--elements", "9"],
+        ["cover", "conjugate", "S3", "all", "--elements", ""],
+    ],
+)
+def test_cli_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_cli_refuses_named_group_above_order_cap(capsys, monkeypatch):
+    monkeypatch.delenv("APPROXCOMMUTE_ORDER_CAP", raising=False)
+    code, out, err = run_cli(capsys, "certify", "S7", "all")
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "5040" in err
+
+
+def test_every_exported_name_resolves():
+    import approxcommute
+
+    missing = [name for name in approxcommute.__all__ if not hasattr(approxcommute, name)]
+    assert missing == []

@@ -185,6 +185,10 @@ def test_conjugate_growth_statement(s3, family_311):
     a3 = sorted(oracle_power(a.id_list(), 3, family_311.group.mul))
     assert r.lhs == len(oracle_class(g, a3, family_311.group.mul, inv))
     assert r.holds
+    # n = 1 compares the class with itself.
+    r1 = check("L2.6", a=a, g=g, n=1, k=family_311.params.k + 1)
+    assert r1.holds and r1.lhs == r1.rhs
+    assert r1.lhs == len(oracle_class(g, a.id_list(), family_311.group.mul, inv))
     with pytest.raises(ValueError):
         check("L2.6", a=Subset.full(s3), g=0, n=0, k=1)
 

@@ -10,6 +10,7 @@ from approxcommute import (
     invert,
     is_symmetric,
     power,
+    powers,
     product,
     symmetrize,
     translate,
@@ -82,6 +83,10 @@ def test_product_and_power_match_oracle(d4):
         assert set(product(x, y).id_list()) == oracle_product(xids, yids, mul)
         for j in (1, 2, 3, 4):
             assert set(power(x, j).id_list()) == oracle_power(xids, j, mul)
+        chain = powers(x, 4)
+        assert len(chain) == 4
+        for j, xj in enumerate(chain, start=1):
+            assert set(xj.id_list()) == oracle_power(xids, j, mul)
 
 
 def test_product_of_empty_is_empty(s3):
@@ -94,6 +99,7 @@ def test_product_of_empty_is_empty(s3):
 def test_power_stabilizes_on_subgroup(s3):
     full = Subset.full(s3)
     assert power(full, 7) == full
+    assert powers(full, 7) == [full] * 7
 
 
 def test_invert_and_symmetry(s3):

@@ -1,5 +1,6 @@
 """Suite runner: configuration, random instance draws, determinism, reproduction."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -211,3 +212,20 @@ def test_failure_records_carry_repro_command(monkeypatch):
     )
     # Even past the full-detail cap, every record keeps its repro line.
     assert all("repro" in r and "key" in r for r in agg["failure_detail"])
+
+
+# sha256 of canonical_json(payload) (timing is kept apart from the payload)
+# for the default corpus, 10 random instances per statement, witnesses on.
+GOLDEN_PAYLOAD_SHA256 = {
+    1: "ed8c612594bb056f896eedb2cfb1762e7c4b3fcac051ffd3b6dcf854eb545326",
+    2: "3b8b6d7ea0eb06816f6c64111bf08698fd0ade89b3711f7a05434659b455eb3f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_PAYLOAD_SHA256))
+def test_payload_matches_golden_hash(seed, monkeypatch):
+    monkeypatch.delenv("APPROXCOMMUTE_ORDER_CAP", raising=False)
+    report = run_suite(SuiteConfig(seed=seed, random_instances_per_statement=10))
+    assert "timing" not in report.payload
+    digest = hashlib.sha256(canonical_json(report.payload).encode()).hexdigest()
+    assert digest == GOLDEN_PAYLOAD_SHA256[seed]
