@@ -36,63 +36,58 @@ def _require_certifiable(a: Subset) -> None:
         raise NotSymmetric("certify needs a symmetric base set")
 
 
-def _candidate_masks(a: Subset, a2: Subset) -> list[tuple[int, int]]:
-    """(element id, covered-universe bitmask) per distinct useful candidate.
+def _coverage_matrix(a: Subset, a2: Subset) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate ids and the bool matrix cover[i, p]: e_i * a contains a2.ids[p].
 
     Candidates are {x * b^-1 : x in a^2, b in a}: sound because any translate
-    e*a covering x satisfies e = x*b^-1, so minimal covers live in this set.
+    e*a covering x satisfies e = x*b^-1, so minimal covers live in this set,
+    and each candidate covers at least its own x.  A row equal to an earlier
+    one is dropped, so the least id stands for each distinct translate.
+    Products outside a^2 land in a spare last column, which is cut off.
     """
-    group = a.group
-    pos = np.full(group.order, -1, dtype=np.int64)
+    pos = np.full(a.group.order, a2.size, dtype=np.int32)
     pos[a2.ids] = np.arange(a2.size)
-    cands = product(a2, invert(a))
-    out: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for e in cands.ids:
-        hit = pos[group.mul[e, a.ids]]
-        hit = hit[hit >= 0]
-        mask = 0
-        for p in hit:
-            mask |= 1 << int(p)
-        if mask and mask not in seen:
-            seen.add(mask)
-            out.append((int(e), mask))
-    return out
+    cands = product(a2, invert(a)).ids
+    cover = np.zeros((cands.size, a2.size + 1), dtype=bool)
+    cover[np.arange(cands.size)[:, None], pos[a.group.mul[np.ix_(cands, a.ids)]]] = True
+    cover = cover[:, :-1]
+    packed = np.packbits(cover, axis=1)
+    _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)
+    keep = np.sort(first)
+    return cands[keep], cover[keep]
 
 
-def _greedy_cover(universe_bits: int, cands: list[tuple[int, int]]) -> list[int]:
+def _greedy_cover(cover: np.ndarray) -> list[int]:
+    """Rows of a largest-gain cover; argmax takes the first maximum, the least id.
+
+    gains[i] is kept equal to count_nonzero(cover[i] & uncovered) by taking
+    off, after each pick, the columns that pick newly covered.
+    """
     chosen: list[int] = []
-    covered = 0
-    while covered != universe_bits:
-        best_e = -1
-        best_gain = 0
-        best_mask = 0
-        for e, mask in cands:
-            gain = (mask & ~covered).bit_count()
-            if gain > best_gain:  # ties keep the earlier (smaller) element id
-                best_e, best_gain = e, gain
-                best_mask = mask
-        if best_gain == 0:
+    uncovered = np.ones(cover.shape[1], dtype=bool)
+    gains = np.count_nonzero(cover, axis=1)
+    while uncovered.any():
+        best = int(np.argmax(gains))
+        if gains[best] == 0:
             raise ApproxCommuteError("internal error: candidates cannot cover the square")
-        chosen.append(best_e)
-        covered |= best_mask
+        chosen.append(best)
+        newly = cover[best] & uncovered
+        uncovered &= ~newly
+        gains -= np.count_nonzero(cover[:, newly], axis=1)
     return chosen
 
 
-def _exact_cover(universe_size: int, cands: list[tuple[int, int]], upper: list[int]) -> list[int]:
+def _exact_cover(elems: np.ndarray, cover: np.ndarray, upper: list[int]) -> list[int]:
     """Branch and bound for a minimum cover; deterministic search order."""
-    full = (1 << universe_size) - 1
-    order = sorted(range(len(cands)), key=lambda i: (-cands[i][1].bit_count(), cands[i][0]))
-    masks = [cands[i][1] for i in order]
-    elems = [cands[i][0] for i in order]
-    coverers: list[list[int]] = [[] for _ in range(universe_size)]
-    for ci, mask in enumerate(masks):
-        m = mask
-        while m:
-            low = m & -m
-            coverers[low.bit_length() - 1].append(ci)
-            m ^= low
-    max_mask = max(mask.bit_count() for mask in masks)
+    sizes = np.count_nonzero(cover, axis=1)
+    order = np.lexsort((elems, -sizes))
+    cover = cover[order]
+    elems = elems[order].tolist()
+    packed = np.packbits(cover, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    coverers = [np.flatnonzero(col).tolist() for col in cover.T]
+    full = (1 << cover.shape[1]) - 1
+    max_mask = int(sizes.max())
     best = list(upper)
     best_len = len(upper)
 
@@ -132,11 +127,13 @@ def certify(
 ) -> ApproxCertificate:
     """Certify a as a k-approximate subgroup via set cover of a^2 by translates.
 
-    The universe is a^2 and the candidate translates are {x * b^-1}.  Greedy
-    mode takes the classic largest-gain cover (ties to the least element id,
-    so k_cert <= k_min * (1 + ln|a^2|)); exact mode runs branch-and-bound for
-    a true minimum and refuses universes larger than exact_cap.  The returned
-    certificate is re-verified against a^2 before it is handed back.
+    The universe is a^2 and the candidate translates are {x * b^-1}, held as
+    one bool matrix with a row per distinct translate (least id first) and a
+    column per element of a^2.  Greedy mode takes the classic largest-gain
+    cover (ties to the least element id, so k_cert <= k_min * (1 + ln|a^2|));
+    exact mode runs branch-and-bound on the same matrix for a true minimum
+    and refuses universes larger than exact_cap.  The returned certificate is
+    re-verified against a^2 before it is handed back.
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"mode must be 'greedy' or 'exact', got {mode!r}")
@@ -144,13 +141,14 @@ def certify(
     _, a2, a3 = powers(a, 3)
     if mode == "exact" and a2.size > exact_cap:
         raise ExactCapExceeded(f"|a^2| = {a2.size} exceeds the exact-mode cap {exact_cap}")
-    cands = _candidate_masks(a, a2)
-    universe_bits = (1 << a2.size) - 1
-    chosen = _greedy_cover(universe_bits, cands)
+    elems, cover_matrix = _coverage_matrix(a, a2)
+    chosen = [int(elems[i]) for i in _greedy_cover(cover_matrix)]
     if mode == "exact":
-        chosen = _exact_cover(a2.size, cands, chosen)
+        chosen = _exact_cover(elems, cover_matrix, chosen)
     cover = Subset.from_ids(a.group, chosen)
-    cert = ApproxCertificate(
+    if not a2.issubset(product(cover, a)):
+        raise ApproxCommuteError("internal error: certificate fails to cover the square")
+    return ApproxCertificate(
         base=a,
         cover=cover,
         k_cert=cover.size,
@@ -158,9 +156,6 @@ def certify(
         tripling=Fraction(a3.size, a.size),
         mode=mode,
     )
-    if not cert.covers():
-        raise ApproxCommuteError("internal error: certificate fails to cover the square")
-    return cert
 
 
 def growth_constants(a: Subset, max_power: int) -> list[Fraction]:

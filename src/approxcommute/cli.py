@@ -39,26 +39,22 @@ from .suite import SuiteConfig, run_suite
 from .witness import bounded_conjugate_cover, witness_thm1, witness_thm2
 
 
-def _load_group_arg(text: str, order_cap: Optional[int] = None) -> LoadedGroup:
+def _load_group_arg(text: str) -> LoadedGroup:
     text = text.strip()
     if text.startswith("@"):
-        return load_group(text[1:], order_cap=order_cap)
+        return load_group(text[1:])
     if text.startswith("{"):
         try:
             spec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SpecParseError(f"invalid inline group JSON: {exc}") from exc
-        return load_group(spec, order_cap=order_cap)
+        return load_group(spec)
     if text.startswith("family:"):
         parts = text[len("family:"):].split(",")
         if len(parts) != 3:
             raise SpecParseError("family shorthand is family:<n>,<k>,<u>")
-        try:
-            n, k, u = (int(p) for p in parts)
-        except ValueError as exc:
-            raise SpecParseError(f"bad family parameters {text!r}: {exc}") from exc
-        inst = build_example(ExampleParams(n, k, u), order_cap=order_cap)
-        return LoadedGroup(group=inst.group, roles=dict(inst.roles), instance=inst)
+        n, k, u = parts
+        return load_group({"kind": "family", "n": n, "k": k, "u": u})
     from .corpus import named
 
     return LoadedGroup(group=named(text), roles={})

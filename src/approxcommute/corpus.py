@@ -101,7 +101,11 @@ def named(name: str) -> Group:
             f"unrecognized group name {name!r}; expected C<n>, D<k>, S<n>, "
             "A<n>, or Q<order>"
         )
-    kind, param = match.group(1), int(match.group(2))
+    kind, digits = match.group(1), match.group(2)
+    try:
+        param = int(digits)
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise BadParams(f"group name {kind}<{len(digits)} digits> is too long to parse") from exc
     if kind in "SA":  # past degree 20 a lower bound will do for the cap
         order = factorial(min(param, 20)) // (2 if kind == "A" else 1)
     else:

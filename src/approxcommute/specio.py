@@ -115,6 +115,8 @@ def load_group(spec, *, order_cap: Optional[int] = None) -> LoadedGroup:
             )
         except KeyError as exc:
             raise SpecParseError(f'family spec missing key {exc.args[0]!r}') from exc
+        except (TypeError, ValueError) as exc:
+            raise SpecParseError(f"family n, k, u must be integers: {exc}") from exc
         instance = build_example(params, order_cap=cap)
         return LoadedGroup(
             group=instance.group, roles=dict(instance.roles), instance=instance

@@ -24,7 +24,6 @@ from .errors import (
     ProbabilityBelowEpsilon,
 )
 from .group import (
-    DEFAULT_CLASS_CAP,
     centralizer_in,
     commutator_subgroup,
     conjugacy_class_under,
@@ -32,7 +31,7 @@ from .group import (
     subgroup_closure,
 )
 from .probability import commuting_probability
-from .subset import Subset, power, translate
+from .subset import Subset, power, powers, translate
 
 RationalLike = Union[Fraction, int, str]
 
@@ -139,8 +138,6 @@ def extract_core(h: Subset, u: Subset, epsilon: RationalLike, k_u: int) -> CoreE
 def witness_thm1(
     a: Subset,
     epsilon: Optional[RationalLike] = None,
-    *,
-    class_cap: int = DEFAULT_CLASS_CAP,
 ) -> WitnessReport:
     """Witness for the small-index route: find T normal with small [T, <B>].
 
@@ -158,7 +155,7 @@ def witness_thm1(
     )
     ext = extract_core(a, full, eps, 1)
     try:
-        normals = normal_subgroups(group, class_cap=class_cap)
+        normals = normal_subgroups(group)
     except ClassCountCapExceeded as exc:
         raise NormalEnumerationCapExceeded(
             f"cannot search for T: {exc}"
@@ -281,7 +278,7 @@ def bounded_conjugate_cover(
     mul = group.mul
     source = a
     translates: list[int] = []
-    d_set = a
+    chain = powers(a, 1 << s)
     for level, g in enumerate(gs, start=1):
         g = int(g)
         seen: dict[int, int] = {}
@@ -297,7 +294,7 @@ def bounded_conjugate_cover(
                 int(mul[b, h]) for h in translates for b in reps
             ]
             translates = list(dict.fromkeys(translates))
-        d_set = power(a, 1 << level)
+        d_set = chain[(1 << level) - 1]
         for gj in gs[:level]:
             d_set = centralizer_in(d_set, int(gj))
         source = d_set

@@ -21,7 +21,9 @@ from approxcommute import (
     symmetrize,
     with_identity,
 )
+from approxcommute.corpus import named
 from approxcommute.rng import SplitMix64
+from approxcommute.suite import random_symmetric_subset
 
 from oracles import inverse_map, oracle_power, oracle_product
 
@@ -173,3 +175,43 @@ def test_power_ratio_consistency(q8):
     assert cert.doubling == Fraction(power(a, 2).size, a.size)
     assert cert.tripling == Fraction(product(power(a, 2), a).size, a.size)
     assert invert(a) == a
+
+
+# (k_cert, cover ids) for fixed inputs.  The least id stands for each distinct
+# translate and greedy ties go to the least id, so these are determined
+# exactly, not just up to the cover size.
+_PINNED_NAMED = {
+    ("A", "greedy"): (2, [0, 10]),
+    ("A", "exact"): (2, [0, 10]),
+    ("A0", "greedy"): (2, [0, 10]),
+    ("A0", "exact"): (2, [0, 10]),
+    ("H", "greedy"): (1, [0]),
+    ("H", "exact"): (1, [0]),
+    ("A5", "greedy"): (9, [0, 1, 3, 4, 15, 20, 21, 24, 55]),
+    ("A5", "exact"): (7, [3, 15, 19, 24, 34, 50, 55]),
+    ("D25", "greedy"): (7, [0, 3, 5, 12, 14, 30, 42]),
+    ("D25", "exact"): (7, [0, 3, 5, 12, 14, 30, 42]),
+}
+
+_PINNED_RANDOM = [
+    ("S5", "1/10", 7, [0, 1, 2, 18, 44, 68, 80]),
+    ("S5", "1/5", 8, [0, 1, 11, 15, 16, 22, 43, 113]),
+    ("S5", "1/3", 7, [0, 1, 2, 16, 19, 22, 72]),
+    ("D100", "1/10", 13, [0, 9, 12, 19, 28, 91, 101, 137, 140, 168, 191, 192, 194]),
+    ("D100", "1/5", 9, [0, 8, 13, 16, 17, 25, 146, 154, 171]),
+    ("D100", "1/3", 6, [0, 52, 53, 141, 159, 189]),
+]
+
+
+def test_certify_covers_pinned(family_522):
+    sets = {role: family_522.subset(role) for role in ("A", "A0", "H")}
+    sets["A5"] = Subset.from_ids(named("A5"), [0, 1, 3, 4, 15, 21, 24, 36, 50])
+    sets["D25"] = Subset.from_ids(named("D25"), [0, 3, 5, 6, 19, 20, 22, 29, 39, 47])
+    for (name, mode), (k, ids) in _PINNED_NAMED.items():
+        cert = certify(sets[name], mode)
+        assert (cert.k_cert, cert.cover.id_list()) == (k, ids), (name, mode)
+    stream = SplitMix64(2024)
+    groups = {"S5": named("S5"), "D100": named("D100")}
+    for name, density, k, ids in _PINNED_RANDOM:
+        cert = certify(random_symmetric_subset(groups[name], density, stream), "greedy")
+        assert (cert.k_cert, cert.cover.id_list()) == (k, ids), (name, density)

@@ -313,6 +313,8 @@ def test_cli_json_errors(capsys):
         ["witness", "thm2", "S3", "all", "--epsilon", "0"],
         ["cover", "conjugate", "S3", "all", "--elements", "9"],
         ["cover", "conjugate", "S3", "all", "--elements", ""],
+        ["pr", "C" + "9" * 5000, "all", "all"],
+        ["pr", '{"kind": "family", "n": "x", "k": 1, "u": 1}', "all", "all"],
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv):
