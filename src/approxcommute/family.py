@@ -22,8 +22,8 @@ from .group import (
     Group,
     build_from_table,
     center,
+    class_sizes,
     current_order_cap,
-    conjugacy_class_under,
     direct_product,
     subgroup_closure,
 )
@@ -172,12 +172,11 @@ def _verify_instance(group, roles, cover_b, predicted, params) -> None:
         problems.append("A is not symmetric with identity")
     if not power(a, 2).issubset(product(cover_b, a)):
         problems.append("A^2 not covered by B*A")
-    for g in a.ids:
-        if g != group.identity:
-            got = conjugacy_class_under(int(g), full).size
-            if got != predicted["class_size_nonidentity"]:
-                problems.append(f"|{g}^G| = {got} != {params.n}")
-                break
+    sizes = class_sizes(a.ids, full)
+    wrong = (sizes != predicted["class_size_nonidentity"]) & (a.ids != group.identity)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        problems.append(f"|{a.ids[i]}^G| = {sizes[i]} != {params.n}")
     pr_a = commuting_probability(a, full)
     if pr_a != predicted["pr_A_G"]:
         problems.append(f"pr(A,G) = {pr_a} != {predicted['pr_A_G']}")

@@ -62,8 +62,9 @@ class Group:
     def derived(self, key: Hashable, build: Callable[[], T]) -> T:
         """The per-group data under key, made by build() on first use.
 
-        Holds the commute matrix, conjugacy classes, normal and cyclic
-        subgroups, quotient maps and the suite's greedy k per set.
+        Holds the commute matrix, the conjugacy class representatives
+        (class_reps), normal and cyclic subgroups, quotient maps and the
+        suite's greedy k per set.
         """
         if key not in self._derived:
             self._derived[key] = build()
@@ -296,27 +297,39 @@ def centralizer_in(x: Subset, g: int) -> Subset:
     return Subset(x.group, x.mask & commute_matrix(x.group)[g], _trusted=True)
 
 
+def conjugates(ids, u: Subset) -> np.ndarray:
+    """Array c with c[j, i] = u_j^-1 * g_i * u_j over the ids g_i and the elements u_j of u."""
+    mul, uids = u.group.mul, u.ids
+    return mul[mul[u.group.inv[uids][:, None], ids], uids[:, None]]
+
+
+def class_sizes(ids, u: Subset) -> np.ndarray:
+    """|g^u| for each id g: the number of distinct values in its column of conjugates."""
+    c = conjugates(ids, u)
+    c.sort(axis=0)
+    return (c.shape[0] > 0) + (c[1:] != c[:-1]).sum(axis=0)
+
+
+def class_reps(group: Group) -> np.ndarray:
+    """Read-only array whose entry g is the least id in the conjugacy class of g."""
+
+    def build() -> np.ndarray:
+        reps = conjugates(np.arange(group.order), Subset.full(group)).min(axis=0)
+        reps.flags.writeable = False
+        return reps
+
+    return group.derived("class_reps", build)
+
+
 def conjugacy_class_under(g: int, x: Subset) -> Subset:
     """Conjugates {x^-1 g x} of g by elements of x."""
-    group = x.group
-    mask = np.zeros(group.order, dtype=bool)
-    if x.size:
-        t = group.mul[group.inv[x.ids], g]
-        mask[group.mul[t, x.ids]] = True
-    return Subset(group, mask, _trusted=True)
+    return Subset.from_ids(x.group, conjugates([g], x))
 
 
 def conjugacy_classes(group: Group) -> list[Subset]:
     """All conjugacy classes, ordered by their minimal element id."""
-    full = Subset.full(group)
-    assigned = np.zeros(group.order, dtype=bool)
-    classes = []
-    for g in range(group.order):
-        if not assigned[g]:
-            cls = conjugacy_class_under(g, full)
-            classes.append(cls)
-            assigned |= cls.mask
-    return classes
+    reps = class_reps(group)
+    return [Subset(group, reps == r, _trusted=True) for r in np.unique(reps)]
 
 
 def center(group: Group) -> Subset:
@@ -333,14 +346,7 @@ def is_subgroup(x: Subset) -> bool:
 
 def is_normal(x: Subset) -> bool:
     """True when x is a subgroup invariant under conjugation by the whole group."""
-    if not is_subgroup(x):
-        return False
-    group = x.group
-    for g in range(group.order):
-        conj = group.mul[group.mul[group.inv[g], x.ids], g]
-        if not x.mask[conj].all():
-            return False
-    return True
+    return is_subgroup(x) and np.array_equal(x.mask, x.mask[class_reps(x.group)])
 
 
 def _by_size_and_mask(sub: Subset) -> tuple[int, bytes]:
@@ -351,11 +357,10 @@ def cyclic_subgroups(group: Group) -> list[Subset]:
     """Distinct cyclic subgroups, ordered by (size, mask); memoised on the group."""
 
     def build() -> tuple[Subset, ...]:
-        found = {}
-        for g in range(group.order):
-            sub = subgroup_closure(Subset.singleton(group, g))
-            found.setdefault(sub.mask.tobytes(), sub)
-        return tuple(sorted(found.values(), key=_by_size_and_mask))
+        found = dict.fromkeys(
+            subgroup_closure(Subset.singleton(group, g)) for g in range(group.order)
+        )
+        return tuple(sorted(found, key=_by_size_and_mask))
 
     return list(group.derived("cyclics", build))
 
@@ -368,33 +373,30 @@ def normal_subgroups(group: Group, *, class_cap: int = DEFAULT_CLASS_CAP) -> lis
     set.  So the list is the closure of {1} under N -> N*<C>, where <C> runs
     over the subgroups generated by the conjugacy classes: #normals *
     #classes products at most (Hulpke, "Computing normal subgroups", ISSAC
-    1998).  The classes and the result are memoised on the group; each call
-    checks class_cap and returns a fresh list.
+    1998).  The class representatives and the result are memoised on the
+    group; each call checks class_cap and returns a fresh list.
     """
-    classes = group.derived("classes", lambda: tuple(conjugacy_classes(group)))
-    if len(classes) > class_cap:
+    reps = class_reps(group)
+    n_classes = int(np.count_nonzero(reps == np.arange(group.order)))
+    if n_classes > class_cap:
         raise ClassCountCapExceeded(
-            f"{len(classes)} conjugacy classes exceed the cap of {class_cap}"
+            f"{n_classes} conjugacy classes exceed the cap of {class_cap}"
         )
 
     def build() -> tuple[Subset, ...]:
-        principals = {}
-        for cls in classes:
-            sub = subgroup_closure(cls)
-            principals.setdefault(sub.mask.tobytes(), sub)
+        principals = dict.fromkeys(subgroup_closure(c) for c in conjugacy_classes(group))
         trivial = Subset.singleton(group, group.identity)
-        found = {trivial.mask.tobytes(): trivial}
+        found = dict.fromkeys([trivial])
         queue = [trivial]
         while queue:
             base = queue.pop()
-            for prin in principals.values():
+            for prin in principals:
                 if not prin.issubset(base):
                     join = product(base, prin)
-                    key = join.mask.tobytes()
-                    if key not in found:
-                        found[key] = join
+                    if join not in found:
+                        found[join] = None
                         queue.append(join)
-        return tuple(sorted(found.values(), key=_by_size_and_mask))
+        return tuple(sorted(found, key=_by_size_and_mask))
 
     return list(group.derived("normals", build))
 
@@ -407,10 +409,7 @@ def commutator_subgroup(x: Subset, y: Subset) -> Subset:
     if x.size == 0 or y.size == 0:
         return Subset.from_ids(group, [group.identity])
     out = np.zeros(group.order, dtype=bool)
-    inv_y = group.inv[y.ids]
-    for a in x.ids:
-        t = group.mul[group.mul[group.inv[a], inv_y], a]
-        out[group.mul[t, y.ids]] = True
+    out[group.mul[group.inv[x.ids], conjugates(x.ids, y)]] = True
     return subgroup_closure(Subset(group, out, _trusted=True))
 
 

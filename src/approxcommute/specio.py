@@ -86,8 +86,11 @@ def load_group(spec, *, order_cap: Optional[int] = None) -> LoadedGroup:
         arr = np.asarray(table, dtype=np.int64)
         if arr.ndim != 2:
             raise SpecParseError(f"table must be 2-dimensional, got shape {arr.shape}")
+        labels = spec.get("labels")
+        if labels is not None and (not isinstance(labels, list) or len(labels) != len(arr)):
+            raise SpecParseError(f'"labels" must be an array of {len(arr)} names')
         group = build_from_table(
-            arr, labels=spec.get("labels"), name=name or f"table[{arr.shape[0]}]"
+            arr, labels=labels, name=name or f"table[{arr.shape[0]}]"
         )
         return LoadedGroup(group=group, roles={})
     if kind == "perm":
@@ -110,20 +113,25 @@ def load_group(spec, *, order_cap: Optional[int] = None) -> LoadedGroup:
         if family != "example1":
             raise SpecParseError(f"unknown family name {family!r}")
         try:
-            params = ExampleParams(
-                int(spec["n"]), int(spec["k"]), int(spec.get("u", spec.get("u_order", 1)))
-            )
+            raw = (spec["n"], spec["k"], spec.get("u", spec.get("u_order", 1)))
         except KeyError as exc:
             raise SpecParseError(f'family spec missing key {exc.args[0]!r}') from exc
-        except (TypeError, ValueError) as exc:
-            raise SpecParseError(f"family n, k, u must be integers: {exc}") from exc
-        instance = build_example(params, order_cap=cap)
+        instance = build_example(ExampleParams(*map(_family_int, raw)), order_cap=cap)
         return LoadedGroup(
             group=instance.group, roles=dict(instance.roles), instance=instance
         )
     raise SpecParseError(
         f"unknown group spec kind {kind!r}; expected table, perm, or family"
     )
+
+
+def _family_int(value) -> int:
+    """An int that is not a bool, or a string of ASCII digits, as an int."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SpecParseError(f"family n, k, u must be integers, got {value!r}")
 
 
 def element_ids(ids, group: Group, what: str) -> list[int]:

@@ -18,8 +18,8 @@ from .group import (
     Group,
     QuotientMap,
     centralizer_in,
+    class_sizes,
     commutator_subgroup,
-    conjugacy_class_under,
     is_subgroup,
     quotient,
     subgroup_closure,
@@ -168,21 +168,21 @@ def _element(sid: str, group: Group, g) -> int:
     return g
 
 
+def _class_size(g: int, u: Subset) -> int:
+    return int(class_sizes([g], u)[0])
+
+
 def _l25a(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
     g = _element(sid, a.group, g)
-    lhs = Fraction(
-        centralizer_in(a, g).size * conjugacy_class_under(g, a).size
-    )
+    lhs = Fraction(centralizer_in(a, g).size * _class_size(g, a))
     return lhs, Fraction(power(a, 2).size)
 
 
 def _l25b(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
     g = _element(sid, a.group, g)
-    rhs = Fraction(
-        centralizer_in(power(a, 2), g).size * conjugacy_class_under(g, a).size
-    )
+    rhs = Fraction(centralizer_in(power(a, 2), g).size * _class_size(g, a))
     return Fraction(a.size), rhs
 
 
@@ -192,8 +192,8 @@ def _l26(sid, a: Subset, g: int, n: int, k=None) -> tuple[Fraction, Fraction]:
         raise ValueError(f"n must be >= 1, got {n}")
     kk = _cert_k(a, k)
     g = _element(sid, a.group, g)
-    lhs = Fraction(conjugacy_class_under(g, power(a, n)).size)
-    rhs = Fraction(kk ** (n - 1) * conjugacy_class_under(g, a).size)
+    lhs = Fraction(_class_size(g, power(a, n)))
+    rhs = Fraction(kk ** (n - 1) * _class_size(g, a))
     return lhs, rhs
 
 

@@ -42,7 +42,7 @@ class Subset:
     @classmethod
     def from_ids(cls, group: "Group", ids: Iterable[int]) -> "Subset":
         mask = np.zeros(group.order, dtype=bool)
-        arr = np.asarray(list(ids), dtype=np.int64)
+        arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= group.order):
             raise ValueError(f"element ids out of range [0, {group.order})")
         mask[arr] = True

@@ -72,6 +72,12 @@ class SuiteConfig:
         for key in cls._KEYS:
             if key in data and data[key] is not None:
                 setattr(cfg, key, data[key])
+        for key in ("seed", "random_instances_per_statement"):
+            value = getattr(cfg, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SpecParseError(f"config {key} must be an integer, got {value!r}")
+        if cfg.random_instances_per_statement < 0:
+            raise SpecParseError("config random_instances_per_statement must be >= 0")
         if cfg.statements is not None:
             bad = [s for s in cfg.statements if s not in statement_ids()]
             if bad:
@@ -121,18 +127,20 @@ def random_symmetric_subset(group: Group, density, stream: SplitMix64) -> Subset
     probability (exact rational), drawn in ascending order of min(g, g^-1),
     so the result depends only on the stream state and the group.
     """
-    density = Fraction(density)
-    inv = group.inv
-    ids = [group.identity]
-    for g in range(group.order):
-        other = int(inv[g])
+    return _draw_pairs(group, range(group.order), Fraction(density), stream)
+
+
+def _draw_pairs(group: Group, ids, probability: Fraction, stream: SplitMix64) -> Subset:
+    """The identity plus each pair {g, g^-1} with min(g, g^-1) in ids, kept with
+    the given probability: one event per pair, drawn in the order of ids."""
+    keep = [group.identity]
+    for g in ids:
+        other = int(group.inv[g])
         if g == group.identity or g > other:
             continue
-        if stream.event(density):
-            ids.append(g)
-            if other != g:
-                ids.append(other)
-    return Subset.from_ids(group, ids)
+        if stream.event(probability):
+            keep += [g, other]
+    return Subset.from_ids(group, keep)
 
 
 def _random_plain_subset(group: Group, density, stream: SplitMix64) -> Subset:
@@ -151,21 +159,12 @@ def _a_candidates(group: Group, roles: dict) -> list[Subset]:
     for role in ("A", "A0", "H"):
         if role in roles:
             cands.append(roles[role])
-    deduped = {}
-    for cand in cands:
-        deduped.setdefault(cand.mask.tobytes(), cand)
-    return list(deduped.values())
+    return list(dict.fromkeys(cands))
 
 
 def _subgroup_pool(group: Group) -> list[Subset]:
-    pool = {}
-    for sub in cyclic_subgroups(group):
-        pool.setdefault(sub.mask.tobytes(), sub)
-    for sub in normal_subgroups(group):
-        pool.setdefault(sub.mask.tobytes(), sub)
-    full = Subset.full(group)
-    pool.setdefault(full.mask.tobytes(), full)
-    return sorted(pool.values(), key=lambda s: (s.size, s.mask.tobytes()))
+    pool = cyclic_subgroups(group) + normal_subgroups(group) + [Subset.full(group)]
+    return sorted(dict.fromkeys(pool), key=lambda s: (s.size, s.mask.tobytes()))
 
 
 def _corpus_instances(sid: str, group: Group, roles: dict) -> Iterator[dict]:
@@ -212,21 +211,17 @@ def _corpus_instances(sid: str, group: Group, roles: dict) -> Iterator[dict]:
             for b in (full, Subset.singleton(group, group.order - 1)):
                 yield {"h": h, "a": full, "b": b, "k": k_full}
     elif sid == "P1.3":
-        t_pool = {}
-        for t in [trivial, full] + normal_subgroups(group)[:6]:
-            t_pool.setdefault(t.mask.tobytes(), t)
+        t_pool = dict.fromkeys([trivial, full] + normal_subgroups(group)[:6])
         b_cands = [full] + ([roles["A"]] if "A" in roles else [])
         for a in a_cands:
             for b in b_cands:
-                for t in t_pool.values():
+                for t in t_pool:
                     yield {"a": a, "b": b, "t": t}
     elif sid == "P1.4":
-        c_pool = {}
-        for c in [trivial, full] + normal_subgroups(group)[:4]:
-            c_pool.setdefault(c.mask.tobytes(), c)
+        c_pool = dict.fromkeys([trivial, full] + normal_subgroups(group)[:4])
         for a in a_cands:
             k = _greedy_k(a)
-            for c in c_pool.values():
+            for c in c_pool:
                 yield {"a": a, "c": c, "k": k}
     else:
         raise KeyError(f"no corpus instance builder for statement {sid!r}")
@@ -265,16 +260,7 @@ def _random_instance(sid: str, groups: list[tuple[Group, dict]], stream: SplitMi
         }
     if sid == "P2.7":
         a2 = random_symmetric_subset(group, density, stream)
-        keep = [group.identity]
-        for g in a2.id_list():
-            other = int(group.inv[g])
-            if g == group.identity or g > other:
-                continue
-            if stream.event(Fraction(1, 2)):
-                keep.append(g)
-                if other != g:
-                    keep.append(other)
-        a1 = Subset.from_ids(group, sorted(set(keep)))
+        a1 = _draw_pairs(group, a2.id_list(), Fraction(1, 2), stream)
         b = _random_plain_subset(group, density, stream)
         return {"a1": a1, "a2": a2, "b": b}
     if sid == "C2.8":

@@ -11,9 +11,12 @@ definition before the report is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .approx import ApproxCertificate, certify, ruzsa_cover
 from .errors import (
@@ -25,8 +28,9 @@ from .errors import (
 )
 from .group import (
     centralizer_in,
+    class_sizes,
     commutator_subgroup,
-    conjugacy_class_under,
+    conjugates,
     normal_subgroups,
     subgroup_closure,
 )
@@ -103,10 +107,7 @@ def extract_core(h: Subset, u: Subset, epsilon: RationalLike, k_u: int) -> CoreE
             f"pr(H, U) = {pr_hu} is below epsilon = {eps}"
         )
     threshold = Fraction(2 * k_u, eps)
-    keep = [
-        g for g in h.ids if conjugacy_class_under(int(g), u).size <= threshold
-    ]
-    x = Subset.from_ids(h.group, keep)
+    x = Subset.from_ids(h.group, h.ids[class_sizes(h.ids, u) <= math.floor(threshold)])
     if Fraction(x.size) < Fraction(eps, 2) * h.size:
         raise ApproxCommuteError(
             f"core size |X| = {x.size} fell below (epsilon/2)|H|; "
@@ -114,9 +115,7 @@ def extract_core(h: Subset, u: Subset, epsilon: RationalLike, k_u: int) -> CoreE
         )
     b = power(x, 2)
     b_closure = subgroup_closure(b)
-    m = max(
-        conjugacy_class_under(int(g), u).size for g in b_closure.ids
-    )
+    m = int(class_sizes(b_closure.ids, u).max())
     alpha = eps / 2
     ratio = Fraction(k_u) / alpha
     return CoreExtraction(
@@ -231,8 +230,7 @@ def witness_thm2(a: Subset, epsilon: Optional[RationalLike] = None) -> WitnessRe
             f"Ruzsa cover size {cover_f.size} exceeded 4K^2/(epsilon eta); "
             "this contradicts the covering bound and indicates a bug"
         )
-    mul = group.mul
-    coset_count = len({int(mul[g, c.ids].min()) for g in a.ids})
+    coset_count = np.unique(group.mul[np.ix_(a.ids, c.ids)].min(axis=1)).size
     if Fraction(coset_count) * gamma > Fraction(cert.k_cert**2):
         raise ApproxCommuteError(
             f"coset count {coset_count} exceeded K^2/gamma; "
@@ -281,12 +279,8 @@ def bounded_conjugate_cover(
     chain = powers(a, 1 << s)
     for level, g in enumerate(gs, start=1):
         g = int(g)
-        seen: dict[int, int] = {}
-        for x in source.ids:
-            value = int(mul[int(mul[group.inv[x], g]), x])
-            if value not in seen:
-                seen[value] = int(x)
-        reps = list(seen.values())
+        _, first = np.unique(conjugates([g], source), return_index=True)
+        reps = source.ids[np.sort(first)].tolist()
         if level == 1:
             translates = reps
         else:

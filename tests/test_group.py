@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -32,14 +34,17 @@ from approxcommute import (
     subgroup_closure,
 )
 from approxcommute import corpus
+from approxcommute.group import class_sizes
 
 from oracles import (
     compose,
+    oracle_all_subgroups,
     oracle_center,
     oracle_centralizer,
     oracle_class,
     oracle_commutator_subgroup,
     oracle_conjugacy_classes,
+    oracle_is_normal,
     inverse_map,
     permutation_table,
 )
@@ -179,6 +184,51 @@ def test_class_under_subset_matches_oracle(s3):
     for g in range(6):
         got = conjugacy_class_under(g, Subset.from_ids(s3, sub))
         assert set(got.id_list()) == oracle_class(g, sub, mul, inv)
+
+
+@pytest.mark.parametrize("name", ["S4", "D6", "Q16"])
+def test_class_kernel_under_random_subsets_matches_oracle(name):
+    group = corpus.named(name)
+    mul = group.mul.tolist()
+    inv = inverse_map(mul)
+    rng = random.Random(f"class-kernel:{name}")
+    ids = np.arange(group.order)
+    for size in (1, 2, 3, 5, group.order // 2, group.order):
+        u = Subset.from_ids(group, rng.sample(range(group.order), size))
+        expected = [oracle_class(g, u.id_list(), mul, inv) for g in range(group.order)]
+        assert class_sizes(ids, u).tolist() == [len(c) for c in expected]
+        for g in rng.sample(range(group.order), 4):
+            assert set(conjugacy_class_under(g, u).id_list()) == expected[g]
+    empty = Subset.empty(group)
+    assert class_sizes(ids, empty).tolist() == [0] * group.order
+    assert conjugacy_class_under(1, empty).size == 0
+
+
+@pytest.mark.parametrize("name", ["S4", "D4", "Q8"])
+def test_is_normal_matches_oracle_on_every_subgroup(name):
+    group = corpus.named(name)
+    mul = group.mul.tolist()
+    inv = inverse_map(mul)
+    for sub in oracle_all_subgroups(mul):
+        x = Subset.from_ids(group, sub)
+        assert is_normal(x) == oracle_is_normal(sub, mul, inv)
+    # A class without the identity is closed under conjugation but not normal.
+    assert not is_normal(conjugacy_classes(group)[-1])
+
+
+@pytest.mark.parametrize("name", ["S4", "D6", "Q16"])
+def test_commutator_of_random_subgroup_pairs_matches_oracle(name):
+    group = corpus.named(name)
+    mul = group.mul.tolist()
+    inv = inverse_map(mul)
+    rng = random.Random(f"commutator:{name}")
+    for _ in range(12):
+        x, y = (
+            subgroup_closure(Subset.from_ids(group, rng.sample(range(group.order), 2)))
+            for _ in range(2)
+        )
+        expected = oracle_commutator_subgroup(x.id_list(), y.id_list(), mul, inv)
+        assert set(commutator_subgroup(x, y).id_list()) == expected
 
 
 def test_s3_class_count_frozen(s3):

@@ -315,9 +315,31 @@ def test_cli_json_errors(capsys):
         ["cover", "conjugate", "S3", "all", "--elements", ""],
         ["pr", "C" + "9" * 5000, "all", "all"],
         ["pr", '{"kind": "family", "n": "x", "k": 1, "u": 1}', "all", "all"],
+        ["pr", '{"kind": "family", "n": 3.9, "k": 1, "u": true}', "all", "all"],
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        ("config", {"seed": "x"}),
+        ("config", {"seed": True}),
+        ("config", {"random_instances_per_statement": -3}),
+        ("group", {"kind": "table", "table": [[0, 1], [1, 0]], "labels": ["e"]}),
+    ],
+)
+def test_cli_bad_file_exits_2_with_one_line(capsys, tmp_path, kind, doc):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    if kind == "config":
+        argv = ["verify", "--config", str(path), "--skip-witnesses"]
+    else:
+        argv = ["pr", f"@{path}", "all", "all"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

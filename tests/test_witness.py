@@ -264,6 +264,22 @@ def test_cover_two_levels(s3):
         assert s3.mul[g, flip] == s3.mul[flip, g]
 
 
+@pytest.mark.parametrize(
+    "source, gs, d_ids, translates",
+    [
+        ("family", [1, 2], [0, 1, 310, 311], [0, 10, 20, 30]),
+        ("S4", [1, 2], [0], [0, 1, 20, 23, 2, 3, 21, 18, 4, 6, 16, 14,
+                             5, 7, 9, 12, 8, 11, 22, 19, 10, 13, 15, 17]),
+        ("S4", [5, 7], [0, 23], [0, 2, 5, 10, 1, 4, 9, 11, 3, 8, 15, 16]),
+    ],
+)
+def test_cover_pinned(family_522, source, gs, d_ids, translates):
+    # Representatives are taken in first-occurrence order over the source set.
+    a = family_522.subset("A") if source == "family" else Subset.full(symmetric(4))
+    d, got = bounded_conjugate_cover(a, certify(a), gs)
+    assert (d.id_list(), got) == (d_ids, translates)
+
+
 def test_cover_validation(s3, d4):
     a = Subset.full(s3)
     cert = certify(a)
