@@ -24,6 +24,7 @@ from .probability import commuting_probability
 from .specio import (
     SCHEMA_VERSION,
     LoadedGroup,
+    _as_spec_dict,
     certificate_to_dict,
     dump_json,
     element_ids,
@@ -207,22 +208,17 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.config:
-        config = SuiteConfig.from_file(args.config)
-    else:
-        config = SuiteConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.instances is not None:
-        config.random_instances_per_statement = args.instances
-    if args.statement:
-        config.statements = args.statement
-    if args.only:
-        config.only = args.only
-    if args.output:
-        config.output_path = args.output
-    if args.skip_witnesses:
-        config.run_witnesses = False
+    data = _as_spec_dict(args.config, "config") if args.config else {}
+    flags = {
+        "seed": args.seed,
+        "random_instances_per_statement": args.instances,
+        "statements": args.statement,
+        "output_path": args.output,
+    }
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    config = SuiteConfig.from_dict(data, source_path=args.config)
+    config.only = args.only
+    config.run_witnesses = not args.skip_witnesses
     report = run_suite(config)
     for sid, agg in report.payload["statements"].items():
         print(

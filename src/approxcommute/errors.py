@@ -80,5 +80,5 @@ class BadParams(ApproxCommuteError):
     """Invalid parameters for the built-in example family."""
 
 
-class SpecParseError(ApproxCommuteError):
-    """Malformed group/subset/config specification."""
+class SpecParseError(ApproxCommuteError, ValueError):
+    """Malformed group/subset/config specification or environment setting."""

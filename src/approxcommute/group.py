@@ -20,8 +20,9 @@ from .errors import (
     NotNormal,
     NotSubgroup,
     OrderCapExceeded,
+    SpecParseError,
 )
-from .subset import Subset, product
+from .subset import Subset, product, symmetrize, with_identity
 
 DEFAULT_ORDER_CAP = 2000
 ORDER_CAP_ENV = "APPROXCOMMUTE_ORDER_CAP"
@@ -31,16 +32,19 @@ T = TypeVar("T")
 
 
 def current_order_cap() -> int:
-    """Group order cap; APPROXCOMMUTE_ORDER_CAP overrides the default 2000."""
+    """Group order cap; APPROXCOMMUTE_ORDER_CAP overrides the default 2000.
+
+    A value that is not a positive integer raises SpecParseError, a ValueError.
+    """
     raw = os.environ.get(ORDER_CAP_ENV)
     if raw is None:
         return DEFAULT_ORDER_CAP
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"{ORDER_CAP_ENV} must be an integer, got {raw!r}") from None
+        raise SpecParseError(f"{ORDER_CAP_ENV} must be an integer, got {raw!r}") from None
     if cap < 1:
-        raise ValueError(f"{ORDER_CAP_ENV} must be positive, got {cap}")
+        raise SpecParseError(f"{ORDER_CAP_ENV} must be positive, got {cap}")
     return cap
 
 
@@ -94,7 +98,7 @@ class QuotientMap:
     def image(self, x: Subset) -> Subset:
         if x.group is not self.source:
             raise ApproxCommuteError("subset does not belong to the quotient source")
-        return Subset.from_ids(self.target, np.unique(self.projection[x.ids]))
+        return Subset.from_ids(self.target, self.projection[x.ids])
 
     def kernel(self) -> Subset:
         return Subset(self.source, self.projection == self.target.identity)
@@ -269,15 +273,18 @@ def direct_product(g: Group, h: Group, *, order_cap: Optional[int] = None) -> Gr
 
 
 def subgroup_closure(seed: Subset) -> Subset:
-    """Smallest subgroup containing the seed set."""
-    group = seed.group
+    """Smallest subgroup containing the seed set.
+
+    Starts from seed, its inverses and the identity, and squares the set
+    through `product` until it stops growing.
+    """
     if seed.size == 0:
         raise EmptySet("subgroup_closure needs a nonempty seed set")
-    cur = np.unique(np.concatenate([[group.identity], seed.ids, group.inv[seed.ids]]))
+    cur = with_identity(symmetrize(seed))
     while True:
-        nxt = np.unique(group.mul[np.ix_(cur, cur)])
-        if nxt.size == cur.size:
-            return Subset.from_ids(group, cur)
+        nxt = product(cur, cur)
+        if nxt.size == cur.size:  # 1 in cur, so cur is a subset of cur*cur
+            return cur
         cur = nxt
 
 

@@ -6,14 +6,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .errors import EmptySet, GroupMismatch
+from .errors import GroupMismatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .group import Group
-
-# Rows of the multiplication table are processed in blocks of roughly this many
-# entries so the saturation exit can fire before materializing huge products.
-_BLOCK_ENTRIES = 1 << 16
 
 
 class Subset:
@@ -116,31 +112,21 @@ def _require_same_group(x: Subset, y: Subset) -> None:
         )
 
 
-def _require_nonempty(x: Subset, what: str) -> None:
-    if x.size == 0:
-        raise EmptySet(f"{what} must be nonempty")
-
-
 def product(x: Subset, y: Subset) -> Subset:
     """Pointwise product set {a*b : a in x, b in y}.
 
-    Cost O(|x|*|y|) with an early exit once the product saturates the group.
+    Empty if either operand is empty; the whole group if either operand is
+    the whole group and the other is not empty (x*G = G*y = G). Otherwise
+    one O(|x|*|y|) index of the multiplication table marks the products.
     """
     _require_same_group(x, y)
     group = x.group
-    n = group.order
     if x.size == 0 or y.size == 0:
         return Subset.empty(group)
-    out = np.zeros(n, dtype=bool)
-    yids = y.ids
-    rows_per_block = max(1, _BLOCK_ENTRIES // max(1, y.size))
-    filled = 0
-    for start in range(0, x.size, rows_per_block):
-        chunk = x.ids[start : start + rows_per_block]
-        out[group.mul[np.ix_(chunk, yids)].ravel()] = True
-        filled = int(out.sum())
-        if filled == n:  # saturation exit
-            break
+    if x.size == group.order or y.size == group.order:
+        return Subset.full(group)
+    out = np.zeros(group.order, dtype=bool)
+    out[group.mul[x.ids[:, None], y.ids]] = True
     return Subset(group, out, _trusted=True)
 
 

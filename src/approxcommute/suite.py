@@ -10,7 +10,6 @@ non-reproducible content lives under the separate "timing" key.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +22,7 @@ from .group import Group, cyclic_subgroups, normal_subgroups, subgroup_closure
 from .rng import SplitMix64, derive_seed
 from .specio import (
     SCHEMA_VERSION,
+    _as_spec_dict,
     check_to_dict,
     load_group,
     rational_str,
@@ -52,32 +52,34 @@ class SuiteConfig:
     run_witnesses: bool = True
     source_path: Optional[str] = None
 
-    _KEYS = (
-        "corpus",
-        "statements",
-        "random_instances_per_statement",
-        "seed",
-        "order_cap",
-        "output_path",
-    )
+    _KEY_TYPES = {
+        "corpus": list,
+        "statements": list,
+        "random_instances_per_statement": int,
+        "seed": int,
+        "order_cap": int,
+        "output_path": str,
+    }
 
     @classmethod
     def from_dict(cls, data: dict, *, source_path: Optional[str] = None) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise SpecParseError("config must be a JSON object")
-        unknown = set(data) - set(cls._KEYS)
+        unknown = set(data) - set(cls._KEY_TYPES)
         if unknown:
             raise SpecParseError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(source_path=source_path)
-        for key in cls._KEYS:
-            if key in data and data[key] is not None:
-                setattr(cfg, key, data[key])
-        for key in ("seed", "random_instances_per_statement"):
-            value = getattr(cfg, key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SpecParseError(f"config {key} must be an integer, got {value!r}")
+        for key, kind in cls._KEY_TYPES.items():
+            value = data.get(key)
+            if value is None:
+                continue
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise SpecParseError(f"config {key} must be of type {kind.__name__}, got {value!r}")
+            setattr(cfg, key, value)
         if cfg.random_instances_per_statement < 0:
             raise SpecParseError("config random_instances_per_statement must be >= 0")
+        if cfg.order_cap is not None and cfg.order_cap < 1:
+            raise SpecParseError(f"config order_cap must be positive, got {cfg.order_cap}")
         if cfg.statements is not None:
             bad = [s for s in cfg.statements if s not in statement_ids()]
             if bad:
@@ -86,14 +88,7 @@ class SuiteConfig:
 
     @classmethod
     def from_file(cls, path) -> "SuiteConfig":
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except OSError as exc:
-            raise SpecParseError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SpecParseError(f"invalid JSON in config {path}: {exc}") from exc
-        return cls.from_dict(data, source_path=str(path))
+        return cls.from_dict(_as_spec_dict(path, "config"), source_path=str(path))
 
 
 @dataclass
@@ -358,6 +353,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             "tightest_instance": tightest,
         }
         timing_stmt[sid] = time.perf_counter() - t_sid
+    if config.only is not None and not any(s["instances"] for s in statements_out.values()):
+        raise SpecParseError(f"only key {config.only!r} matches no instance")
 
     witnesses = []
     if config.run_witnesses and config.only is None:

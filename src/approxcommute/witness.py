@@ -35,7 +35,7 @@ from .group import (
     subgroup_closure,
 )
 from .probability import commuting_probability
-from .subset import Subset, power, powers, translate
+from .subset import Subset, power, powers, product
 
 RationalLike = Union[Fraction, int, str]
 
@@ -292,10 +292,7 @@ def bounded_conjugate_cover(
         for gj in gs[:level]:
             d_set = centralizer_in(d_set, int(gj))
         source = d_set
-    covered = Subset.empty(group)
-    for d in translates:
-        covered = covered | translate(d, d_set, side="right")
-    if not a.issubset(covered):
+    if not a.issubset(product(d_set, Subset.from_ids(group, translates))):
         raise ApproxCommuteError(
             "translate family failed to cover A; this contradicts the "
             "induction and indicates a bug"

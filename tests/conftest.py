@@ -49,3 +49,11 @@ def family_522():
 @pytest.fixture(scope="session")
 def default_corpus():
     return corpus.default_corpus()
+
+
+@pytest.fixture(params=["D4", "S4", "Q16", "family:5,2,2"])
+def kernel_group(request):
+    """Groups for the set-kernel oracle tests; family (5,2,2) has order 320."""
+    if request.param.startswith("family:"):
+        return request.getfixturevalue("family_522").group
+    return corpus.named(request.param)

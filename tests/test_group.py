@@ -45,6 +45,7 @@ from oracles import (
     oracle_commutator_subgroup,
     oracle_conjugacy_classes,
     oracle_is_normal,
+    oracle_subgroup_closure,
     inverse_map,
     permutation_table,
 )
@@ -256,6 +257,17 @@ def test_subgroup_closure(s3):
     assert subgroup_closure(Subset.from_ids(s3, [1, three])).size == 6
     with pytest.raises(EmptySet):
         subgroup_closure(Subset.empty(s3))
+
+
+def test_subgroup_closure_of_random_seeds_matches_oracle(kernel_group):
+    group = kernel_group
+    mul = group.mul.tolist()
+    rng = random.Random(f"closure:{group.name}")
+    for size in (1, 1, 2, 2, 3, 5, group.order - 1, group.order):
+        seed = rng.sample(range(group.order), size)
+        got = subgroup_closure(Subset.from_ids(group, seed))
+        assert set(got.id_list()) == oracle_subgroup_closure(seed, mul)
+        assert is_subgroup(got)
 
 
 def test_is_subgroup_and_normal(s3):

@@ -316,6 +316,8 @@ def test_cli_json_errors(capsys):
         ["pr", "C" + "9" * 5000, "all", "all"],
         ["pr", '{"kind": "family", "n": "x", "k": 1, "u": 1}', "all", "all"],
         ["pr", '{"kind": "family", "n": 3.9, "k": 1, "u": true}', "all", "all"],
+        ["verify", "--instances", "-3", "--skip-witnesses"],
+        ["verify", "--only", "nothing/rand/1"],
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv):
@@ -331,6 +333,11 @@ def test_cli_bad_input_exits_2_with_one_line(capsys, argv):
         ("config", {"seed": True}),
         ("config", {"random_instances_per_statement": -3}),
         ("group", {"kind": "table", "table": [[0, 1], [1, 0]], "labels": ["e"]}),
+        ("config", {"order_cap": "x"}),
+        ("config", {"order_cap": 0}),
+        ("config", {"statements": 5}),
+        ("config", {"corpus": 5}),
+        ("config", {"output_path": 5}),
     ],
 )
 def test_cli_bad_file_exits_2_with_one_line(capsys, tmp_path, kind, doc):
@@ -343,6 +350,21 @@ def test_cli_bad_file_exits_2_with_one_line(capsys, tmp_path, kind, doc):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["abc", "0", "-5"])
+def test_cli_bad_order_cap_env_exits_2_with_one_line(capsys, monkeypatch, bad):
+    monkeypatch.setenv("APPROXCOMMUTE_ORDER_CAP", bad)
+    code, out, err = run_cli(capsys, "pr", "S3", "all", "all")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "APPROXCOMMUTE_ORDER_CAP" in err
+
+
+def test_cli_verify_only_reruns_one_instance(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--statement", "P1.4", "--only", "P1.4/rand/0"
+    )
+    assert code == 0 and err.startswith("P1.4: 1 instances, 0 failures")
 
 
 def test_cli_refuses_named_group_above_order_cap(capsys, monkeypatch):

@@ -72,21 +72,40 @@ def test_cross_group_operations_rejected(s3, d4):
         Subset.full(s3) & Subset.full(d4)
 
 
-def test_product_and_power_match_oracle(d4):
-    mul = d4.mul.tolist()
+def test_product_and_power_match_oracle(kernel_group):
+    group = kernel_group
+    n = group.order
+    mul = group.mul.tolist()
     stream = SplitMix64(101)
-    for _ in range(25):
-        xids = sorted({stream.below(8) for _ in range(stream.below(4) + 1)})
-        yids = sorted({stream.below(8) for _ in range(stream.below(4) + 1)})
-        x = Subset.from_ids(d4, xids)
-        y = Subset.from_ids(d4, yids)
+
+    def draw(count):
+        return sorted({stream.below(n) for _ in range(count)})
+
+    everything = list(range(n))
+    all_but_one = everything[:-1]  # not full, but its square is the group
+    half = draw(n // 2)
+    operands = [(draw(stream.below(4) + 1), draw(stream.below(4) + 1)) for _ in range(25)]
+    operands += [
+        (everything, half),
+        (half, everything),
+        (all_but_one, all_but_one),
+        (half, all_but_one),
+        (draw(1), all_but_one),
+        (all_but_one, draw(1)),
+    ]
+    for xids, yids in operands:
+        x = Subset.from_ids(group, xids)
+        y = Subset.from_ids(group, yids)
         assert set(product(x, y).id_list()) == oracle_product(xids, yids, mul)
-        for j in (1, 2, 3, 4):
-            assert set(power(x, j).id_list()) == oracle_power(xids, j, mul)
+    square = product(Subset.from_ids(group, all_but_one), Subset.from_ids(group, all_but_one))
+    assert square == Subset.full(group)
+    for xids, _ in operands[:25] + [(all_but_one, None), (half, None)]:
+        x = Subset.from_ids(group, xids)
         chain = powers(x, 4)
         assert len(chain) == 4
         for j, xj in enumerate(chain, start=1):
             assert set(xj.id_list()) == oracle_power(xids, j, mul)
+            assert power(x, j) == xj
 
 
 def test_product_of_empty_is_empty(s3):
