@@ -40,15 +40,22 @@ from .suite import SuiteConfig, run_suite
 from .witness import bounded_conjugate_cover, witness_thm1, witness_thm2
 
 
-def _load_group_arg(text: str) -> LoadedGroup:
-    text = text.strip()
+def _spec_arg(text: str, what: str):
+    """The spec file path of "@path", the parsed object of inline JSON, else None."""
     if text.startswith("@"):
-        return load_group(text[1:])
+        return text[1:]
     if text.startswith("{"):
         try:
-            spec = json.loads(text)
+            return json.loads(text)
         except json.JSONDecodeError as exc:
-            raise SpecParseError(f"invalid inline group JSON: {exc}") from exc
+            raise SpecParseError(f"invalid inline {what} JSON: {exc}") from exc
+    return None
+
+
+def _load_group_arg(text: str) -> LoadedGroup:
+    text = text.strip()
+    spec = _spec_arg(text, "group")
+    if spec is not None:
         return load_group(spec)
     if text.startswith("family:"):
         parts = text[len("family:"):].split(",")
@@ -65,13 +72,8 @@ def _load_subset_arg(text: str, lg: LoadedGroup) -> Subset:
     text = text.strip()
     if text == "all":
         return Subset.full(lg.group)
-    if text.startswith("@"):
-        return load_subset(text[1:], lg)
-    if text.startswith("{"):
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecParseError(f"invalid inline subset JSON: {exc}") from exc
+    spec = _spec_arg(text, "subset")
+    if spec is not None:
         return load_subset(spec, lg)
     if text.startswith("role:"):
         return load_subset({"role": text[len("role:"):]}, lg)
@@ -112,6 +114,9 @@ def _cmd_pr(args) -> int:
 def _cmd_certify(args) -> int:
     lg = _load_group_arg(args.group)
     a = _load_subset_arg(args.a, lg)
+    # certify needs 1 in A, so A^j = A^|G| for every j >= |G|
+    if not 1 <= args.growth <= lg.group.order:
+        raise SpecParseError(f"--growth must lie in [1, {lg.group.order}], got {args.growth}")
     cert = certify(a, "exact" if args.exact else "greedy")
     document = {"schema": SCHEMA_VERSION, "group": lg.group.name}
     document.update(certificate_to_dict(cert))
@@ -254,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="exact minimum cover")
     p.add_argument(
         "--growth", type=int, default=1, metavar="J",
-        help="also report |A^j|/|A| for j = 2..J",
+        help="also report |A^j|/|A| for j = 2..J, where 1 <= J <= |G|",
     )
     p.set_defaults(func=_cmd_certify)
 

@@ -67,8 +67,9 @@ class Group:
         """The per-group data under key, made by build() on first use.
 
         Holds the commute matrix, the conjugacy class representatives
-        (class_reps), normal and cyclic subgroups, quotient maps and the
-        suite's greedy k per set.
+        (class_reps), normal and cyclic subgroups, quotient maps by normal
+        subgroups, and the greedy k of each set a statement was checked on
+        without an explicit k. Entries live as long as the group does.
         """
         if key not in self._derived:
             self._derived[key] = build()
@@ -166,8 +167,9 @@ def _check_associative(mul: np.ndarray) -> None:
 def _finalize_table(
     table, labels: Optional[Sequence[str]], name: Optional[str], *, check_assoc: bool
 ) -> Group:
-    mul = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-    _check_latin(mul)
+    mul = np.asarray(table)
+    _check_latin(mul)  # before the int32 cast, which would wrap large entries
+    mul = np.ascontiguousarray(mul, dtype=np.int32)
     n = mul.shape[0]
     if labels is not None and len(labels) != n:
         raise ValueError(f"expected {n} labels, got {len(labels)}")

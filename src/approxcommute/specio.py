@@ -83,9 +83,14 @@ def load_group(spec, *, order_cap: Optional[int] = None) -> LoadedGroup:
         table = spec.get("table")
         if not isinstance(table, list) or not table:
             raise SpecParseError('"table" kind requires a nonempty "table" array')
-        arr = np.asarray(table, dtype=np.int64)
+        try:
+            arr = np.asarray(table)
+        except ValueError:
+            raise SpecParseError("table must be a rectangular array") from None
         if arr.ndim != 2:
             raise SpecParseError(f"table must be 2-dimensional, got shape {arr.shape}")
+        if arr.dtype.kind not in "iu":
+            raise SpecParseError(f"table entries must be integers, got dtype {arr.dtype}")
         labels = spec.get("labels")
         if labels is not None and (not isinstance(labels, list) or len(labels) != len(arr)):
             raise SpecParseError(f'"labels" must be an array of {len(arr)} names')
@@ -95,18 +100,18 @@ def load_group(spec, *, order_cap: Optional[int] = None) -> LoadedGroup:
         return LoadedGroup(group=group, roles={})
     if kind == "perm":
         gens = spec.get("generators")
-        if not isinstance(gens, list) or not gens:
-            raise SpecParseError('"perm" kind requires a nonempty "generators" array')
+        if not isinstance(gens, list) or not gens or not all(isinstance(g, list) for g in gens):
+            raise SpecParseError('"perm" kind requires a nonempty "generators" array of arrays')
         degree = spec.get("degree")
         if degree is not None and any(len(g) != degree for g in gens):
             raise SpecParseError(
                 f"generator length differs from declared degree {degree}"
             )
-        group = build_from_permutations(
-            [tuple(int(v) for v in g) for g in gens],
-            name=name or "perm",
-            order_cap=cap,
-        )
+        images = [tuple(_spec_int(v, "permutation images") for v in g) for g in gens]
+        try:
+            group = build_from_permutations(images, name=name or "perm", order_cap=cap)
+        except ValueError as exc:  # a generator that is not a permutation
+            raise SpecParseError(str(exc)) from exc
         return LoadedGroup(group=group, roles={})
     if kind == "family":
         family = spec.get("name", "example1")
@@ -116,7 +121,8 @@ def load_group(spec, *, order_cap: Optional[int] = None) -> LoadedGroup:
             raw = (spec["n"], spec["k"], spec.get("u", spec.get("u_order", 1)))
         except KeyError as exc:
             raise SpecParseError(f'family spec missing key {exc.args[0]!r}') from exc
-        instance = build_example(ExampleParams(*map(_family_int, raw)), order_cap=cap)
+        params = ExampleParams(*(_spec_int(v, "family n, k, u") for v in raw))
+        instance = build_example(params, order_cap=cap)
         return LoadedGroup(
             group=instance.group, roles=dict(instance.roles), instance=instance
         )
@@ -125,23 +131,24 @@ def load_group(spec, *, order_cap: Optional[int] = None) -> LoadedGroup:
     )
 
 
-def _family_int(value) -> int:
-    """An int that is not a bool, or a string of ASCII digits, as an int."""
+def _spec_int(value, what: str) -> int:
+    """An int that is not a bool, or a string of ASCII digits, as an int.
+
+    Anything else (a float, a bool, another string) is a SpecParseError
+    naming what, never a silently truncated value.
+    """
     if isinstance(value, str) and value.isascii() and value.isdigit():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise SpecParseError(f"family n, k, u must be integers, got {value!r}")
+    raise SpecParseError(f"{what} must be integers, got {value!r}")
 
 
 def element_ids(ids, group: Group, what: str) -> list[int]:
     """ids as ints, each checked to name an element of the group."""
     if not isinstance(ids, list):
         raise SpecParseError(f"{what} must be an array of element ids")
-    try:
-        out = [int(i) for i in ids]
-    except (TypeError, ValueError) as exc:
-        raise SpecParseError(f"{what} holds a non-integer id: {exc}") from exc
+    out = [_spec_int(i, f"{what} ids") for i in ids]
     bad = [i for i in out if not 0 <= i < group.order]
     if bad:
         raise SpecParseError(f"{what}: ids {bad} out of range [0, {group.order})")
@@ -163,7 +170,7 @@ def load_subset(spec, loaded: LoadedGroup) -> Subset:
         return subgroup_closure(Subset.from_ids(group, gens))
     if "role" in spec:
         role = spec["role"]
-        if role not in loaded.roles:
+        if not isinstance(role, str) or role not in loaded.roles:
             known = ", ".join(sorted(loaded.roles)) or "none"
             raise SpecParseError(f"group spec provides no role {role!r} (known: {known})")
         return loaded.roles[role]

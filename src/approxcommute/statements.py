@@ -8,6 +8,7 @@ slack = rhs - lhs is nonnegative exactly when the statement holds.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -46,13 +47,33 @@ class CheckResult:
         return self.rhs - self.lhs
 
 
-def _fail(sid: str, reason: str) -> HypothesisViolated:
-    return HypothesisViolated(sid, reason)
+@dataclass(frozen=True)
+class StatementSpec:
+    """One registered inequality: identifier, summary, and evaluator."""
+
+    statement_id: str
+    summary: str
+    inputs: tuple[str, ...]
+    evaluate: Callable[..., tuple[Fraction, Fraction]]
+
+
+REGISTRY: dict[str, StatementSpec] = {}
+
+
+def _statement(statement_id: str, summary: str):
+    """Register the decorated evaluator; its parameters after sid are the inputs."""
+
+    def register(evaluate):
+        inputs = tuple(inspect.signature(evaluate).parameters)[1:]
+        REGISTRY[statement_id] = StatementSpec(statement_id, summary, inputs, evaluate)
+        return evaluate
+
+    return register
 
 
 def _require(cond: bool, sid: str, reason: str) -> None:
     if not cond:
-        raise _fail(sid, reason)
+        raise HypothesisViolated(sid, reason)
 
 
 def _require_approx(sid: str, a: Subset, label: str = "A") -> None:
@@ -80,80 +101,70 @@ def _quotient_by(sid: str, nsub: Subset) -> QuotientMap:
             ("quotient", nsub.mask.tobytes()), lambda: quotient(group, nsub)
         )
     except (NotSubgroup, NotNormal) as exc:
-        raise _fail(sid, f"N must be a normal subgroup: {exc}") from exc
+        raise HypothesisViolated(sid, f"N must be a normal subgroup: {exc}") from exc
 
 
 def _cert_k(a: Subset, k: Optional[int]) -> int:
+    """k if given, else k_cert of the greedy certificate of a, memoised on its group."""
     if k is not None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         return k
-    return certify(a, "greedy").k_cert
+    return a.group.derived(
+        ("greedy_k", a.mask.tobytes()), lambda: certify(a, "greedy").k_cert
+    )
 
 
 def _pr_full(x: Subset) -> Fraction:
     return commuting_probability(x, Subset.full(x.group))
 
 
-def _quotient_factor(sid: str, a: Subset, nsub: Subset, ambient: bool) -> Fraction:
-    """pr factor over the quotient: against G/N if ambient, else AN/N itself."""
+def _quotient_bound(sid: str, chain: list[Subset], nsub: Subset, ambient: bool) -> Fraction:
+    """pr(AN/N, G/N) pr(A^4 n N, N) if ambient, else pr(AN/N, AN/N) pr(A^4 n N, A^2 n N).
+
+    chain is the power chain [A, A^2, ...] of A, at least up to A^4.
+    """
     qmap = _quotient_by(sid, nsub)
-    image = qmap.image(a)
+    image = qmap.image(chain[0])
     if ambient:
-        return commuting_probability(image, Subset.full(qmap.target))
-    return commuting_probability(image, image)
+        over, inner = Subset.full(qmap.target), nsub
+    else:
+        over, inner = image, chain[1] & nsub
+    return commuting_probability(image, over) * commuting_probability(chain[3] & nsub, inner)
 
 
+@_statement("P2.1", "pr(A,G) <= (|A^5|/|A|) pr(AN/N, G/N) pr(A^4 n N, N)")
 def _p21(sid, a: Subset, nsub: Subset) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
-    *_, a4, a5 = powers(a, 5)
-    lhs = _pr_full(a)
-    rhs = (
-        Fraction(a5.size, a.size)
-        * _quotient_factor(sid, a, nsub, ambient=True)
-        * commuting_probability(a4 & nsub, nsub)
-    )
-    return lhs, rhs
+    chain = powers(a, 5)
+    lead = Fraction(chain[4].size, a.size)
+    return _pr_full(a), lead * _quotient_bound(sid, chain, nsub, ambient=True)
 
 
+@_statement("P2.2", "pr(A,A) <= (|A^3||A^5|/|A|^2) pr(AN/N, AN/N) pr(A^4 n N, A^2 n N)")
 def _p22(sid, a: Subset, nsub: Subset) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
-    _, a2, a3, a4, a5 = powers(a, 5)
-    lhs = commuting_probability(a, a)
-    rhs = (
-        Fraction(a3.size * a5.size, a.size**2)
-        * _quotient_factor(sid, a, nsub, ambient=False)
-        * commuting_probability(a4 & nsub, a2 & nsub)
-    )
-    return lhs, rhs
+    chain = powers(a, 5)
+    lead = Fraction(chain[2].size * chain[4].size, a.size**2)
+    return commuting_probability(a, a), lead * _quotient_bound(sid, chain, nsub, ambient=False)
 
 
+@_statement("C2.3a", "pr(A,G) <= K^4 pr(AN/N, G/N) pr(A^4 n N, N)")
 def _c23a(sid, a, nsub, k=None):
     _require_approx(sid, a)
-    kk = _cert_k(a, k)
-    a4 = power(a, 4)
-    lhs = _pr_full(a)
-    rhs = (
-        Fraction(kk**4)
-        * _quotient_factor(sid, a, nsub, ambient=True)
-        * commuting_probability(a4 & nsub, nsub)
-    )
-    return lhs, rhs
+    lead = Fraction(_cert_k(a, k) ** 4)
+    return _pr_full(a), lead * _quotient_bound(sid, powers(a, 4), nsub, ambient=True)
 
 
+@_statement("C2.3b", "pr(A,A) <= K^6 pr(AN/N, AN/N) pr(A^4 n N, A^2 n N)")
 def _c23b(sid, a, nsub, k=None):
     _require_approx(sid, a)
-    kk = _cert_k(a, k)
-    _, a2, _, a4 = powers(a, 4)
-    lhs = commuting_probability(a, a)
-    rhs = (
-        Fraction(kk**6)
-        * _quotient_factor(sid, a, nsub, ambient=False)
-        * commuting_probability(a4 & nsub, a2 & nsub)
-    )
-    return lhs, rhs
+    lead = Fraction(_cert_k(a, k) ** 6)
+    bound = _quotient_bound(sid, powers(a, 4), nsub, ambient=False)
+    return commuting_probability(a, a), lead * bound
 
 
+@_statement("Sub-mono", "pr(H2,G) <= pr(H1,G) for subgroups H1 <= H2")
 def _sub_mono(sid, h1: Subset, h2: Subset) -> tuple[Fraction, Fraction]:
     _require_subgroup(sid, h1, "H1")
     _require_subgroup(sid, h2, "H2")
@@ -164,7 +175,7 @@ def _sub_mono(sid, h1: Subset, h2: Subset) -> tuple[Fraction, Fraction]:
 def _element(sid: str, group: Group, g) -> int:
     g = int(g)
     if not 0 <= g < group.order:
-        raise _fail(sid, f"element id {g} out of range for order {group.order}")
+        raise HypothesisViolated(sid, f"element id {g} out of range for order {group.order}")
     return g
 
 
@@ -172,6 +183,7 @@ def _class_size(g: int, u: Subset) -> int:
     return int(class_sizes([g], u)[0])
 
 
+@_statement("L2.5a", "|C_A(g)| |g^A| <= |A^2|")
 def _l25a(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
     g = _element(sid, a.group, g)
@@ -179,6 +191,7 @@ def _l25a(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     return lhs, Fraction(power(a, 2).size)
 
 
+@_statement("L2.5b", "|A| <= |C_{A^2}(g)| |g^A|")
 def _l25b(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
     g = _element(sid, a.group, g)
@@ -186,6 +199,7 @@ def _l25b(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     return Fraction(a.size), rhs
 
 
+@_statement("L2.6", "|g^(A^n)| <= K^(n-1) |g^A|")
 def _l26(sid, a: Subset, g: int, n: int, k=None) -> tuple[Fraction, Fraction]:
     _require_approx(sid, a)
     if n < 1:
@@ -197,6 +211,7 @@ def _l26(sid, a: Subset, g: int, n: int, k=None) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
+@_statement("P2.7", "pr(A2,B)/(K K') <= pr(A1^2,B) for symmetric A1 <= A2")
 def _p27(sid, a1: Subset, a2: Subset, b: Subset) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a1, "A1")
     _require_symmetric(sid, a2, "A2")
@@ -210,6 +225,7 @@ def _p27(sid, a1: Subset, a2: Subset, b: Subset) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
+@_statement("C2.8", "pr(A,B)/K <= pr(H,B) for a subgroup H <= A")
 def _c28(sid, h: Subset, a: Subset, b: Subset, k=None) -> tuple[Fraction, Fraction]:
     _require_approx(sid, a)
     _require_subgroup(sid, h, "H")
@@ -221,6 +237,7 @@ def _c28(sid, h: Subset, a: Subset, b: Subset, k=None) -> tuple[Fraction, Fracti
     return lhs, rhs
 
 
+@_statement("P1.3", "gamma/([G:T] |[T,<B>]|) <= pr(A,G) with gamma = |A n B|/|A|")
 def _p13(sid, a: Subset, b: Subset, t: Subset) -> tuple[Fraction, Fraction]:
     _require(a.size > 0, sid, "A is empty")
     _require(b.size > 0, sid, "B is empty")
@@ -233,6 +250,7 @@ def _p13(sid, a: Subset, b: Subset, t: Subset) -> tuple[Fraction, Fraction]:
     return lhs, _pr_full(a)
 
 
+@_statement("P1.4", "gamma^2/(K^4 |C'|) <= pr(A^2,A^2) with gamma = |C n A^2|/|A|")
 def _p14(sid, a: Subset, c: Subset, k=None) -> tuple[Fraction, Fraction]:
     _require_approx(sid, a)
     _require_subgroup(sid, c, "C")
@@ -242,95 +260,6 @@ def _p14(sid, a: Subset, c: Subset, k=None) -> tuple[Fraction, Fraction]:
     s = commutator_subgroup(c, c).size
     lhs = gamma**2 / (Fraction(kk**4) * s)
     return lhs, commuting_probability(a2, a2)
-
-
-@dataclass(frozen=True)
-class StatementSpec:
-    """One registered inequality: identifier, summary, and evaluator."""
-
-    statement_id: str
-    summary: str
-    inputs: tuple[str, ...]
-    evaluate: Callable[..., tuple[Fraction, Fraction]]
-
-
-REGISTRY: dict[str, StatementSpec] = {
-    spec.statement_id: spec
-    for spec in (
-        StatementSpec(
-            "P2.1",
-            "pr(A,G) <= (|A^5|/|A|) pr(AN/N, G/N) pr(A^4 n N, N)",
-            ("a", "nsub"),
-            _p21,
-        ),
-        StatementSpec(
-            "P2.2",
-            "pr(A,A) <= (|A^3||A^5|/|A|^2) pr(AN/N, AN/N) pr(A^4 n N, A^2 n N)",
-            ("a", "nsub"),
-            _p22,
-        ),
-        StatementSpec(
-            "C2.3a",
-            "pr(A,G) <= K^4 pr(AN/N, G/N) pr(A^4 n N, N)",
-            ("a", "nsub", "k"),
-            _c23a,
-        ),
-        StatementSpec(
-            "C2.3b",
-            "pr(A,A) <= K^6 pr(AN/N, AN/N) pr(A^4 n N, A^2 n N)",
-            ("a", "nsub", "k"),
-            _c23b,
-        ),
-        StatementSpec(
-            "Sub-mono",
-            "pr(H2,G) <= pr(H1,G) for subgroups H1 <= H2",
-            ("h1", "h2"),
-            _sub_mono,
-        ),
-        StatementSpec(
-            "L2.5a",
-            "|C_A(g)| |g^A| <= |A^2|",
-            ("a", "g"),
-            _l25a,
-        ),
-        StatementSpec(
-            "L2.5b",
-            "|A| <= |C_{A^2}(g)| |g^A|",
-            ("a", "g"),
-            _l25b,
-        ),
-        StatementSpec(
-            "L2.6",
-            "|g^(A^n)| <= K^(n-1) |g^A|",
-            ("a", "g", "n", "k"),
-            _l26,
-        ),
-        StatementSpec(
-            "P2.7",
-            "pr(A2,B)/(K K') <= pr(A1^2,B) for symmetric A1 <= A2",
-            ("a1", "a2", "b"),
-            _p27,
-        ),
-        StatementSpec(
-            "C2.8",
-            "pr(A,B)/K <= pr(H,B) for a subgroup H <= A",
-            ("h", "a", "b", "k"),
-            _c28,
-        ),
-        StatementSpec(
-            "P1.3",
-            "gamma/([G:T] |[T,<B>]|) <= pr(A,G) with gamma = |A n B|/|A|",
-            ("a", "b", "t"),
-            _p13,
-        ),
-        StatementSpec(
-            "P1.4",
-            "gamma^2/(K^4 |C'|) <= pr(A^2,A^2) with gamma = |C n A^2|/|A|",
-            ("a", "c", "k"),
-            _p14,
-        ),
-    )
-}
 
 
 def statement_ids() -> list[str]:

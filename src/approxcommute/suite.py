@@ -16,9 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .approx import certify
 from .errors import SpecParseError
-from .group import Group, cyclic_subgroups, normal_subgroups, subgroup_closure
+from .group import Group, _by_size_and_mask, cyclic_subgroups, normal_subgroups, subgroup_closure
 from .rng import SplitMix64, derive_seed
 from .specio import (
     SCHEMA_VERSION,
@@ -108,13 +107,6 @@ class SuiteReport:
         return doc
 
 
-def _greedy_k(a: Subset) -> int:
-    """k_cert of the greedy certificate of a corpus set, memoised on its group."""
-    return a.group.derived(
-        ("greedy_k", a.mask.tobytes()), lambda: certify(a, "greedy").k_cert
-    )
-
-
 def random_symmetric_subset(group: Group, density, stream: SplitMix64) -> Subset:
     """Random inverse-closed subset containing the identity.
 
@@ -159,7 +151,7 @@ def _a_candidates(group: Group, roles: dict) -> list[Subset]:
 
 def _subgroup_pool(group: Group) -> list[Subset]:
     pool = cyclic_subgroups(group) + normal_subgroups(group) + [Subset.full(group)]
-    return sorted(dict.fromkeys(pool), key=lambda s: (s.size, s.mask.tobytes()))
+    return sorted(dict.fromkeys(pool), key=_by_size_and_mask)
 
 
 def _corpus_instances(sid: str, group: Group, roles: dict) -> Iterator[dict]:
@@ -168,13 +160,9 @@ def _corpus_instances(sid: str, group: Group, roles: dict) -> Iterator[dict]:
     full = Subset.full(group)
     trivial = Subset.singleton(group, group.identity)
     if sid in ("P2.1", "P2.2", "C2.3a", "C2.3b"):
-        with_k = sid.startswith("C2.3")
         for nsub in normal_subgroups(group):
             for a in a_cands:
-                inst = {"a": a, "nsub": nsub}
-                if with_k:
-                    inst["k"] = _greedy_k(a)
-                yield inst
+                yield {"a": a, "nsub": nsub}
     elif sid == "Sub-mono":
         pool = _subgroup_pool(group)
         for h2 in pool:
@@ -187,10 +175,9 @@ def _corpus_instances(sid: str, group: Group, roles: dict) -> Iterator[dict]:
                 yield {"a": a, "g": g}
     elif sid == "L2.6":
         for a in a_cands:
-            k = _greedy_k(a)
             for g in a.id_list()[:6]:
                 for n in (2, 3):
-                    yield {"a": a, "g": g, "n": n, "k": k}
+                    yield {"a": a, "g": g, "n": n}
     elif sid == "P2.7":
         for a2 in a_cands:
             for a1 in a_cands:
@@ -201,10 +188,9 @@ def _corpus_instances(sid: str, group: Group, roles: dict) -> Iterator[dict]:
         subs = cyclic_subgroups(group)
         if "H" in roles:
             subs.append(roles["H"])
-        k_full = _greedy_k(full)
         for h in subs:
             for b in (full, Subset.singleton(group, group.order - 1)):
-                yield {"h": h, "a": full, "b": b, "k": k_full}
+                yield {"h": h, "a": full, "b": b}
     elif sid == "P1.3":
         t_pool = dict.fromkeys([trivial, full] + normal_subgroups(group)[:6])
         b_cands = [full] + ([roles["A"]] if "A" in roles else [])
@@ -215,9 +201,8 @@ def _corpus_instances(sid: str, group: Group, roles: dict) -> Iterator[dict]:
     elif sid == "P1.4":
         c_pool = dict.fromkeys([trivial, full] + normal_subgroups(group)[:4])
         for a in a_cands:
-            k = _greedy_k(a)
             for c in c_pool:
-                yield {"a": a, "c": c, "k": k}
+                yield {"a": a, "c": c}
     else:
         raise KeyError(f"no corpus instance builder for statement {sid!r}")
 
@@ -229,11 +214,7 @@ def _random_instance(sid: str, groups: list[tuple[Group, dict]], stream: SplitMi
     if sid in ("P2.1", "P2.2", "C2.3a", "C2.3b"):
         normals = normal_subgroups(group)
         nsub = normals[stream.below(len(normals))]
-        a = random_symmetric_subset(group, density, stream)
-        inst = {"a": a, "nsub": nsub}
-        if sid.startswith("C2.3"):
-            inst["k"] = certify(a, "greedy").k_cert
-        return inst
+        return {"a": random_symmetric_subset(group, density, stream), "nsub": nsub}
     if sid == "Sub-mono":
         g1 = stream.below(group.order)
         g2 = stream.below(group.order)
@@ -247,12 +228,7 @@ def _random_instance(sid: str, groups: list[tuple[Group, dict]], stream: SplitMi
         return {"a": a, "g": stream.below(group.order)}
     if sid == "L2.6":
         a = random_symmetric_subset(group, density, stream)
-        return {
-            "a": a,
-            "g": stream.below(group.order),
-            "n": 2 + stream.below(2),
-            "k": certify(a, "greedy").k_cert,
-        }
+        return {"a": a, "g": stream.below(group.order), "n": 2 + stream.below(2)}
     if sid == "P2.7":
         a2 = random_symmetric_subset(group, density, stream)
         a1 = _draw_pairs(group, a2.id_list(), Fraction(1, 2), stream)
@@ -260,10 +236,8 @@ def _random_instance(sid: str, groups: list[tuple[Group, dict]], stream: SplitMi
         return {"a1": a1, "a2": a2, "b": b}
     if sid == "C2.8":
         h = subgroup_closure(Subset.singleton(group, stream.below(group.order)))
-        extra = random_symmetric_subset(group, density, stream)
-        a = h | extra
-        return {"h": h, "a": a, "b": _random_plain_subset(group, density, stream),
-                "k": certify(a, "greedy").k_cert}
+        a = h | random_symmetric_subset(group, density, stream)
+        return {"h": h, "a": a, "b": _random_plain_subset(group, density, stream)}
     if sid == "P1.3":
         a = _random_plain_subset(group, density, stream)
         b = _random_plain_subset(group, density, stream)
@@ -272,7 +246,7 @@ def _random_instance(sid: str, groups: list[tuple[Group, dict]], stream: SplitMi
     if sid == "P1.4":
         a = random_symmetric_subset(group, density, stream)
         c = subgroup_closure(Subset.singleton(group, stream.below(group.order)))
-        return {"a": a, "c": c, "k": certify(a, "greedy").k_cert}
+        return {"a": a, "c": c}
     raise KeyError(f"no random instance builder for statement {sid!r}")
 
 

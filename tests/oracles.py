@@ -41,6 +41,17 @@ def oracle_pr(xids, yids, mul) -> Fraction:
     return Fraction(hits, len(xids) * len(yids))
 
 
+def oracle_quotient_pr(xids, yids, nids, mul, inv) -> Fraction:
+    """pr(XN/N, YN/N) over distinct cosets: xN, yN commute when x y x^-1 y^-1 is in N."""
+
+    def coset_reps(ids):
+        return list({min(mul[g][m] for m in nids): g for g in ids}.values())
+
+    xs, ys, n = coset_reps(xids), coset_reps(yids), set(nids)
+    hits = sum(1 for x, y in iproduct(xs, ys) if mul[mul[mul[x][y]][inv[x]]][inv[y]] in n)
+    return Fraction(hits, len(xs) * len(ys))
+
+
 def oracle_product(xids, yids, mul) -> set[int]:
     return {mul[x][y] for x, y in iproduct(xids, yids)}
 

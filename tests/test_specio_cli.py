@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from approxcommute import (
+    NotLatinSquare,
     SpecParseError,
     Subset,
     certify,
@@ -67,6 +68,9 @@ def test_load_group_table_errors():
         load_group({"kind": "nope"})
     with pytest.raises(SpecParseError):
         load_group([1, 2, 3])
+    # 2**32 + 1 would wrap to 1 in the int32 table and build C2.
+    with pytest.raises(NotLatinSquare):
+        load_group({"kind": "table", "table": [[0, 2**32 + 1], [2**32 + 1, 0]]})
 
 
 def test_load_group_perm():
@@ -318,6 +322,24 @@ def test_cli_json_errors(capsys):
         ["pr", '{"kind": "family", "n": 3.9, "k": 1, "u": true}', "all", "all"],
         ["verify", "--instances", "-3", "--skip-witnesses"],
         ["verify", "--only", "nothing/rand/1"],
+        # perm generators that are not permutations, or not integer images
+        ["pr", '{"kind": "perm", "generators": [[0, 1], [1]]}', "all", "all"],
+        ["pr", '{"kind": "perm", "generators": [5]}', "all", "all"],
+        ["pr", '{"kind": "perm", "generators": [["a", 1]]}', "all", "all"],
+        ["pr", '{"kind": "perm", "generators": [[1.2, 0]]}', "all", "all"],
+        # ragged, non-numeric, float, bool and out-of-int32 tables
+        ["pr", '{"kind": "table", "table": [[0, 1], [1]]}', "all", "all"],
+        ["pr", '{"kind": "table", "table": [["a"]]}', "all", "all"],
+        ["pr", '{"kind": "table", "table": [[0.7, 1], [1, 0]]}', "all", "all"],
+        ["pr", '{"kind": "table", "table": [[false, true], [true, false]]}', "all", "all"],
+        ["pr", '{"kind": "table", "table": [[0, 18446744073709551617], [1, 0]]}', "all", "all"],
+        # subset specs: a non-string role, float and bool element ids
+        ["pr", "family:3,1,1", '{"role": [1]}', "all"],
+        ["pr", "S3", '{"elements": [1.9]}', "all"],
+        ["pr", "S3", '{"subgroup_generated_by": [true]}', "all"],
+        # growth exponents outside [1, |G|]
+        ["certify", "S3", "all", "--growth", "0"],
+        ["certify", "S3", "all", "--growth", "100000000"],
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv):

@@ -13,7 +13,9 @@ from approxcommute import (
     Subset,
     check,
     cyclic,
+    direct_product,
     statement_ids,
+    symmetric,
 )
 
 from oracles import (
@@ -24,23 +26,26 @@ from oracles import (
     oracle_power,
     oracle_pr,
     oracle_product,
+    oracle_quotient_pr,
     oracle_subgroup_closure,
 )
 
-ALL_IDS = [
-    "P2.1",
-    "P2.2",
-    "C2.3a",
-    "C2.3b",
-    "Sub-mono",
-    "L2.5a",
-    "L2.5b",
-    "L2.6",
-    "P2.7",
-    "C2.8",
-    "P1.3",
-    "P1.4",
-]
+# Each statement's inputs, in registry order.
+ALL_INPUTS = {
+    "P2.1": ("a", "nsub"),
+    "P2.2": ("a", "nsub"),
+    "C2.3a": ("a", "nsub", "k"),
+    "C2.3b": ("a", "nsub", "k"),
+    "Sub-mono": ("h1", "h2"),
+    "L2.5a": ("a", "g"),
+    "L2.5b": ("a", "g"),
+    "L2.6": ("a", "g", "n", "k"),
+    "P2.7": ("a1", "a2", "b"),
+    "C2.8": ("h", "a", "b", "k"),
+    "P1.3": ("a", "b", "t"),
+    "P1.4": ("a", "c", "k"),
+}
+ALL_IDS = list(ALL_INPUTS)
 
 
 def s3_pieces(s3):
@@ -55,7 +60,7 @@ def test_registry_lists_every_statement():
     for sid, spec in REGISTRY.items():
         assert spec.statement_id == sid
         assert spec.summary
-        assert spec.inputs
+        assert spec.inputs == ALL_INPUTS[sid]
 
 
 def test_unknown_statement_and_inputs(s3):
@@ -100,6 +105,30 @@ def test_quotient_bounds_nontrivial_set(s3):
     r3 = check("C2.3a", a=a, nsub=n, k=2)
     assert r3.lhs == Fraction(5, 9) and r3.rhs == Fraction(16, 1)
     assert all(x.holds for x in (r, r2, r3))
+
+
+def test_quotient_bounds_match_oracle(s3):
+    # N = S3 x 1 in S3 x S3: N and G/N are both non-abelian, and A n N,
+    # A^2 n N and N give different factors, so each factor of the bound counts.
+    group = direct_product(s3, s3)
+    mul, inv = group.mul.tolist(), inverse_map(group.mul.tolist())
+    a_ids, nids = [0, 8, 11, 17, 32], [6 * x for x in range(6)]
+    a, nsub = Subset.from_ids(group, a_ids), Subset.from_ids(group, nids)
+    pw = {j: oracle_power(a_ids, j, mul) for j in (2, 3, 4, 5)}
+    a4n = sorted(pw[4] & set(nids))
+    ambient = oracle_quotient_pr(a_ids, range(36), nids, mul, inv) * oracle_pr(a4n, nids, mul)
+    restricted = oracle_quotient_pr(a_ids, a_ids, nids, mul, inv) * oracle_pr(
+        a4n, sorted(pw[2] & set(nids)), mul
+    )
+    want = {
+        "P2.1": Fraction(len(pw[5]), 5) * ambient,
+        "P2.2": Fraction(len(pw[3]) * len(pw[5]), 25) * restricted,
+        "C2.3a": 3**4 * ambient,
+        "C2.3b": 3**6 * restricted,
+    }
+    for sid, rhs in want.items():
+        k = {"k": 3} if sid.startswith("C") else {}
+        assert check(sid, a=a, nsub=nsub, **k).rhs == rhs, sid
 
 
 def test_quotient_requires_normal_subgroup(s3):
@@ -272,12 +301,39 @@ def test_quotient_cache_lets_the_group_go():
     assert ref() is None
 
 
-def test_default_k_uses_certificate(s3):
-    ts, _, n = s3_pieces(s3)
-    a = Subset.from_ids(s3, [0, ts[0], ts[1]])
-    # Omitting k certifies a greedily; the explicit value reproduces it.
-    auto = check("C2.3a", a=a, nsub=n)
-    explicit = check("C2.3a", a=a, nsub=n, k=2)
-    assert auto.rhs == explicit.rhs
-    with pytest.raises(ValueError):
-        check("C2.3a", a=a, nsub=n, k=0)
+def test_default_k_uses_certificate(monkeypatch):
+    import approxcommute.statements as statements_mod
+
+    calls = []
+    real_certify = statements_mod.certify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_certify(*args, **kwargs)
+
+    monkeypatch.setattr(statements_mod, "certify", counted)
+    for sid in ("C2.3a", "L2.6", "C2.8", "P1.4"):
+        s3 = symmetric(3)  # a fresh group, so no greedy k is memoised yet
+        ts, _, n = s3_pieces(s3)
+        a = Subset.from_ids(s3, [0, ts[0], ts[1]])
+        h = Subset.from_ids(s3, [0, ts[0]])
+        inputs = {
+            "C2.3a": {"a": a, "nsub": n},
+            "L2.6": {"a": a, "g": ts[0], "n": 3},
+            "C2.8": {"h": h, "a": a, "b": Subset.full(s3)},
+            "P1.4": {"a": a, "c": h},
+        }[sid]
+
+        def sides(**k):
+            r = check(sid, **inputs, **k)
+            return r.lhs, r.rhs
+
+        # Omitting k certifies a greedily (k = 2); the explicit value
+        # reproduces it, and k = 1 does not.
+        calls.clear()
+        auto = sides()
+        assert auto == sides(k=2) != sides(k=1), sid
+        # The greedy k is memoised on the group: a second check certifies nothing.
+        assert sides() == auto and len(calls) == 1, sid
+        with pytest.raises(ValueError):
+            check(sid, k=0, **inputs)
