@@ -11,6 +11,7 @@ from .errors import ApproxCommuteError, ExactCapExceeded, NoIdentity, NotSymmetr
 from .subset import Subset, invert, is_symmetric, power, powers, product
 
 EXACT_UNIVERSE_CAP = 4096
+EXACT_NODE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -78,44 +79,47 @@ def _greedy_cover(cover: np.ndarray) -> list[int]:
 
 
 def _exact_cover(elems: np.ndarray, cover: np.ndarray, upper: list[int]) -> list[int]:
-    """Branch and bound for a minimum cover; deterministic search order."""
+    """Branch and bound for a minimum cover; deterministic search order.
+
+    Rows go largest first (least id on ties), columns by (coverer count,
+    column), so a node branches on its first uncovered column.  A node with
+    room = best_len - |chosen| - 1 rows left for a smaller cover is pruned
+    unless its room largest gains reach its uncovered count (Beasley 1987),
+    a valid bound, so the first minimum cover in search order is returned.
+    One float32 product, exact on 0/1 entries, gives the gains of all
+    children at once.  Past EXACT_NODE_CAP nodes the search stops.
+    """
     sizes = np.count_nonzero(cover, axis=1)
     order = np.lexsort((elems, -sizes))
-    cover = cover[order]
+    cover = cover[order][:, np.argsort(np.count_nonzero(cover, axis=0), kind="stable")]
     elems = elems[order].tolist()
-    packed = np.packbits(cover, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    coverers = [np.flatnonzero(col).tolist() for col in cover.T]
-    full = (1 << cover.shape[1]) - 1
-    max_mask = int(sizes.max())
-    best = list(upper)
-    best_len = len(upper)
+    columns = cover.T.astype(np.float32)
+    coverers = [np.flatnonzero(col) for col in cover.T]
+    best, best_len, nodes = list(upper), len(upper), 0
 
-    def dfs(covered: int, chosen: list[int]) -> None:
-        nonlocal best, best_len
-        if covered == full:
-            if len(chosen) < best_len:
-                best_len = len(chosen)
-                best = [elems[i] for i in chosen]
-            return
-        remaining = (full & ~covered).bit_count()
-        if len(chosen) + (remaining + max_mask - 1) // max_mask >= best_len:
-            return
-        # branch on the uncovered point with the fewest candidate translates
-        pick = -1
-        pick_n = None
-        m = full & ~covered
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
-            k = len(coverers[b])
-            if pick_n is None or k < pick_n:
-                pick, pick_n = b, k
-            m ^= low
-        for ci in coverers[pick]:
-            dfs(covered | masks[ci], chosen + [ci])
+    def dfs(uncovered: np.ndarray, chosen: list[int]) -> None:
+        nonlocal best, best_len, nodes
+        kids = coverers[int(np.argmax(uncovered))]
+        left = uncovered & ~cover[kids]
+        remaining = np.count_nonzero(left, axis=1).tolist()
+        reach = np.cumsum(-np.sort(-(left.astype(np.float32) @ columns), axis=1), axis=1)
+        for i, ci in enumerate(kids.tolist()):
+            nodes += 1
+            if nodes > EXACT_NODE_CAP:
+                bound = np.searchsorted(np.cumsum(np.sort(sizes)[::-1]), cover.shape[1]) + 1
+                raise ExactCapExceeded(
+                    f"exact search passed {EXACT_NODE_CAP} nodes: a minimum cover "
+                    f"has at least {bound} and at most {best_len} translates"
+                )
+            picked = chosen + [ci]
+            room = best_len - len(picked) - 1
+            if remaining[i] == 0:
+                if room >= 0:
+                    best, best_len = [elems[j] for j in picked], len(picked)
+            elif room >= 1 and reach[i, room - 1] >= remaining[i]:
+                dfs(left[i], picked)
 
-    dfs(0, [])
+    dfs(np.ones(cover.shape[1], dtype=bool), [])
     return best
 
 

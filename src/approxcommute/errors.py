@@ -52,7 +52,7 @@ class NotSymmetric(ApproxCommuteError):
 
 
 class ExactCapExceeded(ApproxCommuteError):
-    """Universe too large for exact set-cover certification."""
+    """Exact set-cover certification passed its universe or search-node cap."""
 
 
 class ProbabilityBelowEpsilon(ApproxCommuteError):

@@ -89,8 +89,8 @@ def load_group(spec, *, order_cap: Optional[int] = None) -> LoadedGroup:
             raise SpecParseError("table must be a rectangular array") from None
         if arr.ndim != 2:
             raise SpecParseError(f"table must be 2-dimensional, got shape {arr.shape}")
-        if arr.dtype.kind not in "iu":
-            raise SpecParseError(f"table entries must be integers, got dtype {arr.dtype}")
+        if arr.dtype.kind not in "iu" or any(bool in set(map(type, row)) for row in table):
+            raise SpecParseError("table entries must be integers, not floats, booleans or strings")
         labels = spec.get("labels")
         if labels is not None and (not isinstance(labels, list) or len(labels) != len(arr)):
             raise SpecParseError(f'"labels" must be an array of {len(arr)} names')

@@ -149,8 +149,16 @@ def powers(x: Subset, j: int) -> list[Subset]:
 
 
 def power(x: Subset, j: int) -> Subset:
-    """j-fold product set x^j; x^1 is x itself."""
-    return powers(x, j)[-1]
+    """j-fold product set x^j (x^1 = x); the walk stops where the chain stabilizes."""
+    if j < 1:
+        raise ValueError(f"power exponent must be >= 1, got {j}")
+    current = x
+    for _ in range(j - 1):
+        nxt = product(current, x)
+        if nxt == current:
+            break
+        current = nxt
+    return current
 
 
 def invert(x: Subset) -> Subset:

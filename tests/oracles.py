@@ -181,3 +181,50 @@ def oracle_best_t(mul, b_closure_ids) -> tuple[int, int]:
         if best is None or key < best:
             best = key
     return best
+
+
+def oracle_exact_cover(elems, cover, upper) -> list[int]:
+    """Minimum cover of the columns of a bool matrix by its rows, by the plain
+    branch and bound: rows largest first (least element on ties), branch on
+    the uncovered column with the fewest covering rows (least column on
+    ties), prune only by ceil(remaining / largest row).  Returns the elements
+    of the first minimum cover in that search order, or upper if none beats
+    it."""
+    sizes = np.count_nonzero(cover, axis=1)
+    order = np.lexsort((elems, -sizes))
+    cover = cover[order]
+    elems = elems[order].tolist()
+    packed = np.packbits(cover, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    coverers = [np.flatnonzero(col).tolist() for col in cover.T]
+    full = (1 << cover.shape[1]) - 1
+    max_mask = int(sizes.max())
+    best = list(upper)
+    best_len = len(upper)
+
+    def dfs(covered: int, chosen: list[int]) -> None:
+        nonlocal best, best_len
+        if covered == full:
+            if len(chosen) < best_len:
+                best_len = len(chosen)
+                best = [elems[i] for i in chosen]
+            return
+        remaining = (full & ~covered).bit_count()
+        if len(chosen) + (remaining + max_mask - 1) // max_mask >= best_len:
+            return
+        # branch on the uncovered point with the fewest candidate translates
+        pick = -1
+        pick_n = None
+        m = full & ~covered
+        while m:
+            low = m & -m
+            b = low.bit_length() - 1
+            k = len(coverers[b])
+            if pick_n is None or k < pick_n:
+                pick, pick_n = b, k
+            m ^= low
+        for ci in coverers[pick]:
+            dfs(covered | masks[ci], chosen + [ci])
+
+    dfs(0, [])
+    return best

@@ -21,11 +21,12 @@ from approxcommute import (
     symmetrize,
     with_identity,
 )
+from approxcommute.approx import _coverage_matrix, _greedy_cover
 from approxcommute.corpus import named
 from approxcommute.rng import SplitMix64
 from approxcommute.suite import random_symmetric_subset
 
-from oracles import inverse_map, oracle_power, oracle_product
+from oracles import inverse_map, oracle_exact_cover, oracle_power, oracle_product
 
 
 def brute_minimum_cover(group, aids):
@@ -130,6 +131,26 @@ def test_certify_rejections(s3):
 def test_exact_cap(d4):
     with pytest.raises(ExactCapExceeded):
         certify(Subset.full(d4), "exact", exact_cap=4)
+
+
+def test_exact_cover_is_the_plain_search_cover():
+    # The pruned search must return the very cover, not just the size, that
+    # the plain branch and bound returns; greedy seeds both.
+    stream = SplitMix64(909)
+    plan = [(name, density, 6) for name in ("S4", "D12", "Q16", "C24")
+            for density in ("1/10", "1/5", "1/3", "1/2")]
+    plan += [("A5", "1/3", 4), ("A5", "1/2", 4)]
+    below_greedy = 0
+    for name, density, count in plan:
+        group = named(name)
+        for _ in range(count):
+            a = random_symmetric_subset(group, density, stream)
+            elems, matrix = _coverage_matrix(a, power(a, 2))
+            greedy = [int(elems[i]) for i in _greedy_cover(matrix)]
+            want = sorted(oracle_exact_cover(elems, matrix, greedy))
+            assert certify(a, "exact").cover.id_list() == want, (name, density)
+            below_greedy += len(want) < len(greedy)
+    assert below_greedy >= 20, below_greedy
 
 
 def test_growth_constants_match_oracle(s3, family_311):

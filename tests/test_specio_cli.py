@@ -1,6 +1,7 @@
 """Wire formats and the command-line interface."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from approxcommute import (
     witness_thm1,
     witness_thm2,
 )
+from approxcommute import approx
 from approxcommute.cli import main
 from approxcommute.specio import (
     SCHEMA_VERSION,
@@ -340,6 +342,8 @@ def test_cli_json_errors(capsys):
         # growth exponents outside [1, |G|]
         ["certify", "S3", "all", "--growth", "0"],
         ["certify", "S3", "all", "--growth", "100000000"],
+        # a boolean among integers, which numpy alone reads as 1
+        ["pr", '{"kind": "table", "table": [[0, true], [true, 0]]}', "all", "all"],
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv):
@@ -394,6 +398,20 @@ def test_cli_refuses_named_group_above_order_cap(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "certify", "S7", "all")
     assert code == 1 and out == ""
     assert len(err.strip().splitlines()) == 1 and "5040" in err
+
+
+def test_cli_exact_certify_stops_at_node_cap(capsys, monkeypatch):
+    # |A^2| = 83 with 120 distinct translates: greedy finds 12, the minimum
+    # is 11, and the search needs millions of nodes to prove it.
+    monkeypatch.setattr(approx, "EXACT_NODE_CAP", 2000)
+    code, out, err = run_cli(
+        capsys, "certify", "S5", "0,14,28,32,36,53,62,63,64,94,97,100,111", "--exact"
+    )
+    assert code == 1 and out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "2000 nodes" in lines[0]
+    lower, upper = map(int, re.search(r"at least (\d+) and at most (\d+)", lines[0]).groups())
+    assert lower == 7 and 11 <= upper <= 12
 
 
 def test_every_exported_name_resolves():

@@ -121,6 +121,16 @@ def test_power_stabilizes_on_subgroup(s3):
     assert powers(full, 7) == [full] * 7
 
 
+def test_power_of_huge_exponent_returns_the_stable_set(s3):
+    # With the identity in the set the chain grows until it stabilizes, so
+    # power stops there instead of walking 10**9 steps.
+    transpositions = [g for g in range(1, s3.order) if s3.mul[g, g] == 0]
+    pair = Subset.from_ids(s3, [0, transpositions[0]])
+    assert power(pair, 10**9) == pair
+    spread = Subset.from_ids(s3, [0] + transpositions)
+    assert power(spread, 10**9) == Subset.full(s3)
+
+
 def test_invert_and_symmetry(s3):
     # id 1 is a transposition (self-inverse); the 3-cycles invert to each other.
     x = Subset.from_ids(s3, [1])
