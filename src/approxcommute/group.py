@@ -218,40 +218,39 @@ def build_from_permutations(
 
     Element order is the BFS discovery order with generators applied in the
     given order, so id assignment is deterministic.  Permutations are tuples
-    p acting as i -> p[i]; the product a*b acts as i -> a[b[i]].
+    p acting as i -> p[i]; the product a*b acts as i -> a[b[i]].  The table
+    is filled by column gathers along the BFS tree: q = parent*g gives column
+    a*q = (a*parent)*g, column parent read through right multiplication by g.
     """
     gens = [tuple(int(v) for v in g) for g in generators]
     if degree is None:
-        if not gens:
-            degree = 1
-        else:
-            degree = len(gens[0])
+        degree = len(gens[0]) if gens else 1
     for g in gens:
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise ValueError(f"generator {g} is not a permutation of 0..{degree - 1}")
     identity = tuple(range(degree))
     elems = [identity]
     index = {identity: 0}
-    head = 0
-    while head < len(elems):
-        p = elems[head]
-        head += 1
-        for g in gens:
+    tree = [(0, 0)]  # (parent, j) with elems[q] = elems[parent] * gens[j]
+    right = [[] for _ in gens]  # right[j][p] = id of elems[p] * gens[j]
+    for head, p in enumerate(elems):
+        for j, g in enumerate(gens):
             q = tuple(p[g[i]] for i in range(degree))
-            if q not in index:
-                if len(elems) >= order_cap:
+            qid = index.setdefault(q, len(elems))
+            if qid == len(elems):
+                if qid >= order_cap:
                     raise OrderCapExceeded(
                         f"permutation closure exceeded the cap of {order_cap} elements"
                     )
-                index[q] = len(elems)
                 elems.append(q)
+                tree.append((head, j))
+            right[j].append(qid)
     n = len(elems)
-    perms = np.array(elems, dtype=np.int32).reshape(n, degree)
-    keys = {perms[i].tobytes(): i for i in range(n)}
+    right = np.array(right, dtype=np.int32).reshape(len(gens), n)
     table = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        composed = perms[a][perms]  # composed[b] = a*b
-        table[a] = [keys[row.tobytes()] for row in composed]
+    table[:, 0] = np.arange(n)
+    for q, (parent, j) in enumerate(tree[1:], 1):
+        table[:, q] = right[j][table[:, parent]]
     return _finalize_table(table, None, name or f"perm[{n}]", check_assoc=True)
 
 

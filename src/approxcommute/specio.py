@@ -252,5 +252,32 @@ def canonical_json(payload) -> str:
 
 
 def dump_json(payload) -> str:
-    """Human-facing serialization used by the CLI: sorted keys, indented."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Human-facing serialization used by the CLI: sorted keys, indented.
+
+    Exactly json.dumps(payload, sort_keys=True, indent=2) + "\n", whose indent
+    runs pure-Python code; lists of plain scalars (a Cayley table row) hold no
+    strings, so the C encoder writes them and their separators are indented.
+    """
+    return _indented(payload, "\n") + "\n"
+
+
+_SCALAR_TYPES = {int, float, bool, type(None)}
+
+
+def _indented(obj, newline: str) -> str:
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        # json itself writes a non-str key: it converts it or raises TypeError
+        items = (
+            (json.dumps(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4])
+            + ": " + _indented(value, inner)
+            for key, value in sorted(obj.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if set(map(type, obj)) <= _SCALAR_TYPES:
+        body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
+    else:
+        body = ("," + inner).join(_indented(value, inner) for value in obj)
+    return "[" + inner + body + newline + "]"

@@ -27,7 +27,7 @@ from .specio import (
     rational_str,
     witness_to_dict,
 )
-from .statements import CheckResult, check, statement_ids
+from .statements import check, statement_ids
 from .subset import Subset, symmetrize, with_identity
 from .witness import witness_thm1, witness_thm2
 
@@ -290,34 +290,37 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         min_slack: Optional[Fraction] = None
         tightest: Optional[str] = None
 
-        def record(key: str, result: CheckResult) -> None:
+        def record(key: str, inst: dict) -> None:
             nonlocal count, min_slack, tightest
             count += 1
-            if not result.holds:
-                if len(failures) < MAX_FAILURE_DETAIL:
-                    detail = check_to_dict(result)
-                else:
-                    detail = {}
-                detail["key"] = key
-                detail["repro"] = _repro_command(config, sid, key)
-                failures.append(detail)
-            if min_slack is None or result.slack < min_slack:
-                min_slack = result.slack
-                tightest = key
+            try:
+                result = check(sid, description=key, **inst)
+            except Exception as exc:  # one bad instance must not end the run
+                detail = {"error": f"{type(exc).__name__}: {exc}"}
+            else:
+                if min_slack is None or result.slack < min_slack:
+                    min_slack = result.slack
+                    tightest = key
+                if result.holds:
+                    return
+                detail = check_to_dict(result)
+            detail["key"] = key
+            detail["repro"] = _repro_command(config, sid, key)
+            failures.append(detail)
 
         for g_index, (group, roles) in enumerate(groups):
             for i, inst in enumerate(_corpus_instances(sid, group, roles)):
                 key = f"{sid}/corpus/{g_index}.{group.name}/{i}"
                 if config.only is not None and key != config.only:
                     continue
-                record(key, check(sid, description=key, **inst))
+                record(key, inst)
         for idx in range(config.random_instances_per_statement):
             key = f"{sid}/rand/{idx}"
             if config.only is not None and key != config.only:
                 continue
             stream = SplitMix64(derive_seed(config.seed, sid, idx))
             inst = _random_instance(sid, groups, stream)
-            record(key, check(sid, description=key, **inst))
+            record(key, inst)
 
         statements_out[sid] = {
             "instances": count,

@@ -132,6 +132,58 @@ def test_permutation_closure_cap():
         build_from_permutations([cycle], order_cap=10)
 
 
+def _symmetric_gens(n):
+    return [tuple([1, 0] + list(range(2, n))), tuple(list(range(1, n)) + [0])]
+
+
+def _alternating_gens(n):
+    three = tuple([1, 2, 0] + list(range(3, n)))
+    if n % 2:
+        return [three, tuple(list(range(1, n)) + [0])]
+    return [three, tuple([0] + list(range(2, n)) + [1])]
+
+
+def _bfs_elements(gens, degree):
+    """Closure of gens in BFS order from the identity, generators in order."""
+    perms = [tuple(range(degree))]
+    seen = {perms[0]}
+    for p in perms:
+        for g in gens:
+            q = compose(p, g)
+            if q not in seen:
+                seen.add(q)
+                perms.append(q)
+    return perms
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [(0,)],
+        *(_symmetric_gens(n) for n in (3, 4, 5, 6)),
+        *(_alternating_gens(n) for n in (4, 5, 6)),
+        # C3 wr C3 (order 81) on 9 points, three generators
+        [(1, 2, 0, 3, 4, 5, 6, 7, 8), (0, 1, 2, 4, 5, 3, 6, 7, 8),
+         (3, 4, 5, 6, 7, 8, 0, 1, 2)],
+        [(1, 0, 2, 3), (1, 2, 3, 0), (1, 0, 2, 3)],  # a repeated generator
+        [(0, 1, 2, 3, 4), (1, 2, 3, 4, 0)],  # the identity among them
+    ],
+    ids=["S1", "S3", "S4", "S5", "S6", "A4", "A5", "A6", "C3wrC3", "repeat", "identity"],
+)
+def test_permutation_table_matches_composition(gens):
+    perms = _bfs_elements(gens, len(gens[0]))
+    group = build_from_permutations(gens)
+    assert group.order == len(perms)
+    assert group.mul.tolist() == permutation_table(perms)
+
+
+def test_permutation_closure_cap_is_exact():
+    gens = _symmetric_gens(4)
+    assert build_from_permutations(gens, order_cap=24).order == 24
+    with pytest.raises(OrderCapExceeded):
+        build_from_permutations(gens, order_cap=23)
+
+
 def test_direct_product_structure(s3):
     c2 = corpus.cyclic(2)
     prod = direct_product(s3, c2)

@@ -1,15 +1,19 @@
 """Wire formats and the command-line interface."""
 
 import json
+import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from approxcommute import (
+    ExampleParams,
     NotLatinSquare,
     SpecParseError,
     Subset,
+    build_example,
     certify,
     check,
     witness_thm1,
@@ -162,6 +166,73 @@ def test_canonical_json_is_stable():
     assert a == b == '{"a":[2,3],"b":1}'
     pretty = dump_json({"b": 1, "a": 2})
     assert pretty.endswith("\n") and pretty.index('"a"') < pretty.index('"b"')
+
+
+_AWKWARD_STRINGS = [
+    "", "a, b", ", ", "line\nbreak", 'say "hi"', "back\\slash", "Ω≤√", "[1, 2]",
+]
+
+
+def _random_scalar(rng):
+    return rng.choice([
+        rng.randint(-10**6, 10**6),
+        rng.random() * 10 ** rng.randint(-5, 20),
+        float("nan"), float("inf"), -float("inf"), -0.0,
+        True, False, None,
+        rng.choice(_AWKWARD_STRINGS),
+    ])
+
+
+def _random_document(rng, depth=0):
+    kind = rng.randrange(6 if depth < 4 else 1)
+    size = rng.randrange(5)
+    if kind == 0:
+        return _random_scalar(rng)
+    if kind == 1:  # all plain scalars: the C-encoder row path
+        return [rng.choice([rng.randint(-99, 99), 0.5, True, None]) for _ in range(size)]
+    if kind == 2:  # ints mixed with strings
+        pool = [rng.randint(0, 9), rng.choice(_AWKWARD_STRINGS)]
+        return [rng.choice(pool) for _ in range(size)]
+    if kind == 3:
+        return tuple(_random_document(rng, depth + 1) for _ in range(size))
+    if kind == 4:
+        return [_random_document(rng, depth + 1) for _ in range(size)]
+    keys = rng.choice([  # key pools that sort among themselves
+        _AWKWARD_STRINGS + ["key", "zeta", "Alpha"],
+        [*range(2, 12), -3, True, False, 2.5, float("inf")],
+        [None],
+    ])
+    return {k: _random_document(rng, depth + 1) for k in rng.sample(keys, min(size, len(keys)))}
+
+
+def test_dump_json_is_json_dumps_indent_2():
+    rng = random.Random("dump_json")
+    for _ in range(400):
+        doc = _random_document(rng)
+        assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    bad_documents = (object(), {1, 2}, [1, object()], {"a": [{3}]}, {(1, 2): 0}, {None: 0, 1: 0})
+    for bad in bad_documents:
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            dump_json(bad)
+
+
+def test_emitted_group_round_trips(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "example", "--n", "3", "--k", "1", "--u", "1", "--emit", "group"
+    )
+    assert code == 0
+    path = tmp_path / "family.json"
+    path.write_text(out)
+    loaded = load_group(str(path)).group
+    built = build_example(ExampleParams(3, 1, 1)).group
+    assert np.array_equal(loaded.mul, built.mul)
+    assert loaded.labels == tuple(built.element_label(g) for g in range(built.order))
+    code, from_file, _ = run_cli(capsys, "pr", f"@{path}", "all", "all")
+    assert code == 0
+    _, from_family, _ = run_cli(capsys, "pr", "family:3,1,1", "all", "all")
+    assert json.loads(from_file)["pr"] == json.loads(from_family)["pr"]
 
 
 def run_cli(capsys, *argv):

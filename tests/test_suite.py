@@ -214,6 +214,45 @@ def test_failure_records_carry_repro_command(monkeypatch):
     assert all("repro" in r and "key" in r for r in agg["failure_detail"])
 
 
+def test_a_raising_instance_is_reported_and_the_run_completes(monkeypatch, capsys, tmp_path):
+    import dataclasses
+
+    from approxcommute import statements
+    from approxcommute.cli import main
+
+    spec = statements.REGISTRY["L2.5a"]
+
+    def faulty(sid, a, g):
+        if a.group.name == "S3" and a.size == 6 and g == 3:
+            raise RuntimeError("injected fault")
+        return spec.evaluate(sid, a=a, g=g)
+
+    monkeypatch.setitem(
+        statements.REGISTRY, "L2.5a", dataclasses.replace(spec, evaluate=faulty)
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": [S3_SPEC, FAMILY_SPEC], "seed": 9}))
+    argv = ["verify", "--config", str(cfg), "--statement", "L2.5a",
+            "--statement", "Sub-mono", "--instances", "3", "--skip-witnesses"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    agg = doc["statements"]["L2.5a"]
+    assert agg["failures"] == 1 and agg["instances"] == 111
+    key = "L2.5a/corpus/0.S3/3"
+    repro = f"approxcommute verify --config {cfg} --seed 9 --statement L2.5a --only {key}"
+    assert agg["failure_detail"] == [
+        {"error": "RuntimeError: injected fault", "key": key, "repro": repro}
+    ]
+    other = doc["statements"]["Sub-mono"]
+    assert other["failures"] == 0 and other["instances"] > 0
+    # The repro command replays exactly the raising instance.
+    assert main(repro.split()[1:]) == 1
+    replay = json.loads(capsys.readouterr().out)["statements"]["L2.5a"]
+    assert replay["instances"] == 1 and replay["failure_detail"] == agg["failure_detail"]
+
+
 # sha256 of canonical_json(payload) (timing is kept apart from the payload)
 # for the default corpus, 10 random instances per statement, witnesses on.
 GOLDEN_PAYLOAD_SHA256 = {
