@@ -49,17 +49,25 @@ def current_order_cap() -> int:
 
 
 class Group:
-    """Finite group on ids 0..order-1; id 0 is always the identity."""
+    """Finite group on ids 0..order-1; id 0 is always the identity.
+
+    Trusts mul to be a group table with the identity at id 0; only
+    build_from_table validates one.  mul and inv are stored read-only.
+    """
 
     __slots__ = ("order", "mul", "inv", "labels", "name", "_derived", "__weakref__")
 
     identity = 0
 
-    def __init__(self, mul: np.ndarray, inv: np.ndarray, labels, name: str):
+    def __init__(self, mul, labels: Optional[Sequence[str]], name: str):
+        mul = np.ascontiguousarray(mul, dtype=np.int32)
+        inv = mul.argmin(axis=1).astype(np.int32)
+        mul.flags.writeable = False
+        inv.flags.writeable = False
         self.order = int(mul.shape[0])
         self.mul = mul
         self.inv = inv
-        self.labels = labels
+        self.labels = None if labels is None else tuple(str(s) for s in labels)
         self.name = name
         self._derived: dict = {}
 
@@ -164,9 +172,14 @@ def _check_associative(mul: np.ndarray) -> None:
             frontier = mul[np.ix_(frontier, gens)].ravel()
 
 
-def _finalize_table(
-    table, labels: Optional[Sequence[str]], name: Optional[str], *, check_assoc: bool
-) -> Group:
+def build_from_table(table, *, labels: Optional[Sequence[str]] = None, name: Optional[str] = None) -> Group:
+    """Validate an n x n multiplication table from outside and wrap it as a Group.
+
+    The one place a table is checked: the Latin-square property, the
+    two-sided identity (relabelled to id 0 when needed), two-sided inverses,
+    and associativity exactly by Light's test over a generating set, in
+    O(n^2 log n).
+    """
     mul = np.asarray(table)
     _check_latin(mul)  # before the int32 cast, which would wrap large entries
     mul = np.ascontiguousarray(mul, dtype=np.int32)
@@ -182,29 +195,13 @@ def _finalize_table(
         if labels is not None:
             labels = list(labels)
             labels[0], labels[e] = labels[e], labels[0]
-    inv = np.ascontiguousarray(mul.argmin(axis=1).astype(np.int32))
+    inv = mul.argmin(axis=1)
     # argmin finds the unique 0 per row; confirm inverses are two-sided
     if not np.array_equal(mul[inv, np.arange(n)], np.zeros(n, dtype=mul.dtype)):
         x = int(np.flatnonzero(mul[inv, np.arange(n)] != 0)[0])
         raise NoInverse(f"element {x} has no two-sided inverse")
-    if check_assoc:
-        _check_associative(mul)
-    mul.flags.writeable = False
-    inv.flags.writeable = False
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-    return Group(mul, inv, labels, name or f"table[{n}]")
-
-
-def build_from_table(table, *, labels: Optional[Sequence[str]] = None, name: Optional[str] = None) -> Group:
-    """Validate an n x n multiplication table and wrap it as a Group.
-
-    Checks the Latin-square property, locates the two-sided identity
-    (relabelling it to id 0 when needed), derives two-sided inverses, and
-    checks associativity exactly by Light's test over a generating set, in
-    O(n^2 log n).
-    """
-    return _finalize_table(table, labels, name, check_assoc=True)
+    _check_associative(mul)
+    return Group(mul, labels, name or f"table[{n}]")
 
 
 def build_from_permutations(
@@ -251,7 +248,7 @@ def build_from_permutations(
     table[:, 0] = np.arange(n)
     for q, (parent, j) in enumerate(tree[1:], 1):
         table[:, q] = right[j][table[:, parent]]
-    return _finalize_table(table, None, name or f"perm[{n}]", check_assoc=True)
+    return Group(table, None, name or f"perm[{n}]")
 
 
 def direct_product(g: Group, h: Group, *, order_cap: Optional[int] = None) -> Group:
@@ -265,8 +262,7 @@ def direct_product(g: Group, h: Group, *, order_cap: Optional[int] = None) -> Gr
     labels = None
     if g.labels is not None and h.labels is not None:
         labels = [f"({a},{b})" for a in g.labels for b in h.labels]
-    # associativity is inherited componentwise from the validated factors
-    return _finalize_table(table, labels, f"{g.name}x{h.name}", check_assoc=False)
+    return Group(table, labels, f"{g.name}x{h.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +433,7 @@ def quotient(group: Group, n_sub: Subset) -> QuotientMap:
     labels = None
     if group.labels is not None:
         labels = [group.labels[int(r)] for r in reps_sorted]
-    target = _finalize_table(
-        table, labels, f"{group.name}/N{n_sub.size}", check_assoc=False
-    )
+    target = Group(table, labels, f"{group.name}/N{n_sub.size}")
     # full homomorphism check; with the source verified this also certifies
     # the target's associativity on every product
     lhs = proj[group.mul]

@@ -79,6 +79,8 @@ def load_group(spec, *, order_cap: Optional[int] = None) -> LoadedGroup:
     cap = current_order_cap() if order_cap is None else order_cap
     kind = spec.get("kind")
     name = spec.get("name")
+    if kind in ("table", "perm") and not isinstance(name, (str, type(None))):
+        raise SpecParseError(f'"name" must be a string, got {type(name).__name__}')
     if kind == "table":
         table = spec.get("table")
         if not isinstance(table, list) or not table:

@@ -10,6 +10,7 @@ non-reproducible content lives under the separate "timing" key.
 
 from __future__ import annotations
 
+import shlex
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -269,7 +270,7 @@ def _repro_command(config: SuiteConfig, sid: str, key: str) -> str:
     if config.source_path:
         parts += ["--config", config.source_path]
     parts += ["--seed", str(config.seed), "--statement", sid, "--only", key]
-    return " ".join(parts)
+    return shlex.join(parts)
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:

@@ -103,10 +103,9 @@ def _closure_np(mul_np, ids) -> frozenset[int]:
     mask[list(ids)] = True
     while True:
         cur = np.flatnonzero(mask)
-        prods = np.unique(mul_np[np.ix_(cur, cur)])
-        if mask[prods].all():
+        mask[mul_np[np.ix_(cur, cur)]] = True
+        if np.count_nonzero(mask) == cur.size:
             return frozenset(int(v) for v in cur)
-        mask[prods] = True
 
 
 def oracle_subgroup_closure(ids, mul) -> set[int]:

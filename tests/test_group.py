@@ -426,6 +426,20 @@ def test_quotient_image(s3):
     assert img.size == 1 and not img.contains_identity
 
 
+def test_unchecked_constructions_pass_the_table_checks():
+    # Permutation closures, direct products and quotients skip validation;
+    # each table they build must still pass it unchanged.
+    built = [corpus.symmetric(n) for n in (3, 4, 5, 6)]
+    built += [corpus.alternating(4), corpus.alternating(5)]
+    built += [build_example(ExampleParams(*p)).group for p in ((3, 1, 1), (4, 2, 1), (5, 2, 2))]
+    for group, _roles in corpus.default_corpus():
+        built += [quotient(group, n).target for n in normal_subgroups(group)]
+    for g in built:
+        checked = build_from_table(g.mul)
+        assert np.array_equal(checked.mul, g.mul), g.name
+        assert np.array_equal(checked.inv, g.inv), g.name
+
+
 def test_mul_table_is_readonly(s3):
     with pytest.raises(ValueError):
         s3.mul[0, 0] = 3

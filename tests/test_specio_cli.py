@@ -415,6 +415,10 @@ def test_cli_json_errors(capsys):
         ["certify", "S3", "all", "--growth", "100000000"],
         # a boolean among integers, which numpy alone reads as 1
         ["pr", '{"kind": "table", "table": [[0, true], [true, 0]]}', "all", "all"],
+        # a group name that is not a string
+        ["pr", '{"kind": "table", "table": [[0]], "name": {"a": 1}}', "all", "all"],
+        ["pr", '{"kind": "table", "table": [[0]], "name": ["x"]}', "all", "all"],
+        ["pr", '{"kind": "perm", "generators": [[1, 0]], "name": 5}', "all", "all"],
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(capsys, argv):

@@ -253,6 +253,38 @@ def test_a_raising_instance_is_reported_and_the_run_completes(monkeypatch, capsy
     assert replay["instances"] == 1 and replay["failure_detail"] == agg["failure_detail"]
 
 
+def test_repro_command_with_spaces_replays_the_one_instance(monkeypatch, capsys, tmp_path):
+    import dataclasses
+    import shlex
+
+    from approxcommute import statements
+    from approxcommute.cli import main
+
+    spec = statements.REGISTRY["L2.5a"]
+
+    def faulty(sid, a, g):
+        if a.group.name == "my S3" and a.size == 6 and g == 3:
+            raise RuntimeError("injected fault")
+        return spec.evaluate(sid, a=a, g=g)
+
+    monkeypatch.setitem(
+        statements.REGISTRY, "L2.5a", dataclasses.replace(spec, evaluate=faulty)
+    )
+    cfg = tmp_path / "cfg dir" / "c.json"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps({"corpus": [dict(S3_SPEC, name="my S3")], "seed": 9}))
+    argv = ["verify", "--config", str(cfg), "--statement", "L2.5a",
+            "--instances", "3", "--skip-witnesses"]
+    assert main(argv) == 1
+    (entry,) = json.loads(capsys.readouterr().out)["statements"]["L2.5a"]["failure_detail"]
+    assert entry["key"] == "L2.5a/corpus/0.my S3/3"
+    repro = shlex.split(entry["repro"])
+    assert repro[repro.index("--config") + 1] == str(cfg)
+    assert main(repro[1:]) == 1
+    replay = json.loads(capsys.readouterr().out)["statements"]["L2.5a"]
+    assert replay["instances"] == 1 and replay["failure_detail"] == [entry]
+
+
 # sha256 of canonical_json(payload) (timing is kept apart from the payload)
 # for the default corpus, 10 random instances per statement, witnesses on.
 GOLDEN_PAYLOAD_SHA256 = {
