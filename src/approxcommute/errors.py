@@ -59,10 +59,6 @@ class ProbabilityBelowEpsilon(ApproxCommuteError):
     """Commuting probability fell below the requested threshold."""
 
 
-class NormalEnumerationCapExceeded(ApproxCommuteError):
-    """Normal-subgroup enumeration hit its cap inside a witness pipeline."""
-
-
 class PowerCapExceeded(ApproxCommuteError):
     """Requested power chain is beyond the supported cap."""
 

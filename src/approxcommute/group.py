@@ -182,7 +182,7 @@ def build_from_table(table, *, labels: Optional[Sequence[str]] = None, name: Opt
     """
     mul = np.asarray(table)
     _check_latin(mul)  # before the int32 cast, which would wrap large entries
-    mul = np.ascontiguousarray(mul, dtype=np.int32)
+    mul = np.array(mul, dtype=np.int32)  # a copy: Group freezes its table, not the caller's
     n = mul.shape[0]
     if labels is not None and len(labels) != n:
         raise ValueError(f"expected {n} labels, got {len(labels)}")

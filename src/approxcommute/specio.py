@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .approx import ApproxCertificate
-from .errors import SpecParseError
+from .errors import OrderCapExceeded, SpecParseError
 from .family import ExampleInstance, ExampleParams, build_example
 from .group import (
     Group,
@@ -85,6 +85,8 @@ def load_group(spec, *, order_cap: Optional[int] = None) -> LoadedGroup:
         table = spec.get("table")
         if not isinstance(table, list) or not table:
             raise SpecParseError('"table" kind requires a nonempty "table" array')
+        if len(table) > cap:
+            raise OrderCapExceeded(f"table has order {len(table)}, above the cap {cap}")
         try:
             arr = np.asarray(table)
         except ValueError:

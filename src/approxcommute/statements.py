@@ -3,7 +3,8 @@
 Each statement takes concrete subsets of one finite group, validates its
 hypotheses, and evaluates both sides of the inequality exactly as rationals.
 All inequalities are normalized to the form lhs <= rhs so that
-slack = rhs - lhs is nonnegative exactly when the statement holds.
+slack = rhs - lhs is nonnegative exactly when the statement holds.  Each
+statement also registers the builders of its suite instances, valid by construction.
 """
 
 from __future__ import annotations
@@ -11,22 +12,26 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .approx import certify
 from .errors import HypothesisViolated, NotNormal, NotSubgroup
 from .group import (
     Group,
     QuotientMap,
+    _by_size_and_mask,
     centralizer_in,
     class_sizes,
     commutator_subgroup,
+    cyclic_subgroups,
     is_subgroup,
+    normal_subgroups,
     quotient,
     subgroup_closure,
 )
 from .probability import commuting_probability
-from .subset import Subset, is_symmetric, power, powers
+from .rng import SplitMix64
+from .subset import Subset, is_symmetric, power, powers, symmetrize, with_identity
 
 
 @dataclass(frozen=True)
@@ -49,26 +54,70 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class StatementSpec:
-    """One registered inequality: identifier, summary, and evaluator."""
+    """One registered inequality: identifier, summary, evaluator and valid-instance builders."""
 
     statement_id: str
     summary: str
     inputs: tuple[str, ...]
     evaluate: Callable[..., tuple[Fraction, Fraction]]
+    corpus: Callable[[Group, dict], Iterator[dict]]  # (group, roles) -> structured instances
+    draw: Callable[[Group, Fraction, SplitMix64], dict]  # (group, density, stream) -> one instance
 
 
 REGISTRY: dict[str, StatementSpec] = {}
 
 
-def _statement(statement_id: str, summary: str):
-    """Register the decorated evaluator; its parameters after sid are the inputs."""
+def _statement(sid: str, summary: str, corpus, draw):
+    """Register an evaluator and its instance builders; its parameters after sid are the inputs."""
 
     def register(evaluate):
         inputs = tuple(inspect.signature(evaluate).parameters)[1:]
-        REGISTRY[statement_id] = StatementSpec(statement_id, summary, inputs, evaluate)
+        REGISTRY[sid] = StatementSpec(sid, summary, inputs, evaluate, corpus, draw)
         return evaluate
 
     return register
+
+
+def random_symmetric_subset(group: Group, density, stream: SplitMix64) -> Subset:
+    """Random inverse-closed subset containing the identity.
+
+    Each {g, g^-1} orbit with g != 1 is included independently with the given
+    probability (exact rational), drawn in ascending order of min(g, g^-1),
+    so the result depends only on the stream state and the group.
+    """
+    return _draw_pairs(group, range(group.order), Fraction(density), stream)
+
+
+def _draw_pairs(group: Group, ids, probability: Fraction, stream: SplitMix64) -> Subset:
+    """The identity plus each pair {g, g^-1} with min(g, g^-1) in ids, kept with
+    the given probability: one event per pair, drawn in the order of ids."""
+    keep = [group.identity]
+    for g in ids:
+        other = int(group.inv[g])
+        if g == group.identity or g > other:
+            continue
+        if stream.event(probability):
+            keep += [g, other]
+    return Subset.from_ids(group, keep)
+
+
+def _random_plain_subset(group: Group, density, stream: SplitMix64) -> Subset:
+    density = Fraction(density)
+    ids = [g for g in range(group.order) if stream.event(density)]
+    if not ids:
+        ids = [int(stream.below(group.order))]
+    return Subset.from_ids(group, ids)
+
+
+def _a_candidates(group: Group, roles: dict) -> list[Subset]:
+    """Symmetric identity-containing test sets for one corpus group."""
+    cands = [Subset.full(group)]
+    if group.order > 1:
+        cands.append(with_identity(symmetrize(Subset.singleton(group, 1))))
+    for role in ("A", "A0", "H"):
+        if role in roles:
+            cands.append(roles[role])
+    return list(dict.fromkeys(cands))
 
 
 def _require(cond: bool, sid: str, reason: str) -> None:
@@ -133,7 +182,20 @@ def _quotient_bound(sid: str, chain: list[Subset], nsub: Subset, ambient: bool) 
     return commuting_probability(image, over) * commuting_probability(chain[3] & nsub, inner)
 
 
-@_statement("P2.1", "pr(A,G) <= (|A^5|/|A|) pr(AN/N, G/N) pr(A^4 n N, N)")
+def _quot_corpus(group: Group, roles: dict) -> Iterator[dict]:
+    a_cands = _a_candidates(group, roles)
+    for nsub in normal_subgroups(group):
+        for a in a_cands:
+            yield {"a": a, "nsub": nsub}
+
+
+def _quot_draw(group: Group, density, stream: SplitMix64) -> dict:
+    nsub = stream.choice(normal_subgroups(group))
+    return {"a": random_symmetric_subset(group, density, stream), "nsub": nsub}
+
+
+# P2.1, P2.2, C2.3a and C2.3b take the same instances: A and a normal subgroup N.
+@_statement("P2.1", "pr(A,G) <= (|A^5|/|A|) pr(AN/N, G/N) pr(A^4 n N, N)", _quot_corpus, _quot_draw)
 def _p21(sid, a: Subset, nsub: Subset) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
     chain = powers(a, 5)
@@ -141,7 +203,8 @@ def _p21(sid, a: Subset, nsub: Subset) -> tuple[Fraction, Fraction]:
     return _pr_full(a), lead * _quotient_bound(sid, chain, nsub, ambient=True)
 
 
-@_statement("P2.2", "pr(A,A) <= (|A^3||A^5|/|A|^2) pr(AN/N, AN/N) pr(A^4 n N, A^2 n N)")
+@_statement("P2.2", "pr(A,A) <= (|A^3||A^5|/|A|^2) pr(AN/N, AN/N) pr(A^4 n N, A^2 n N)",
+            _quot_corpus, _quot_draw)
 def _p22(sid, a: Subset, nsub: Subset) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
     chain = powers(a, 5)
@@ -149,14 +212,14 @@ def _p22(sid, a: Subset, nsub: Subset) -> tuple[Fraction, Fraction]:
     return commuting_probability(a, a), lead * _quotient_bound(sid, chain, nsub, ambient=False)
 
 
-@_statement("C2.3a", "pr(A,G) <= K^4 pr(AN/N, G/N) pr(A^4 n N, N)")
+@_statement("C2.3a", "pr(A,G) <= K^4 pr(AN/N, G/N) pr(A^4 n N, N)", _quot_corpus, _quot_draw)
 def _c23a(sid, a, nsub, k=None):
     _require_approx(sid, a)
     lead = Fraction(_cert_k(a, k) ** 4)
     return _pr_full(a), lead * _quotient_bound(sid, powers(a, 4), nsub, ambient=True)
 
 
-@_statement("C2.3b", "pr(A,A) <= K^6 pr(AN/N, AN/N) pr(A^4 n N, A^2 n N)")
+@_statement("C2.3b", "pr(A,A) <= K^6 pr(AN/N, AN/N) pr(A^4 n N, A^2 n N)", _quot_corpus, _quot_draw)
 def _c23b(sid, a, nsub, k=None):
     _require_approx(sid, a)
     lead = Fraction(_cert_k(a, k) ** 6)
@@ -164,7 +227,25 @@ def _c23b(sid, a, nsub, k=None):
     return commuting_probability(a, a), lead * bound
 
 
-@_statement("Sub-mono", "pr(H2,G) <= pr(H1,G) for subgroups H1 <= H2")
+def _sub_mono_corpus(group: Group, roles: dict) -> Iterator[dict]:
+    pool = cyclic_subgroups(group) + normal_subgroups(group) + [Subset.full(group)]
+    pool = sorted(dict.fromkeys(pool), key=_by_size_and_mask)
+    for h2 in pool:
+        for h1 in pool:
+            if h1.issubset(h2):
+                yield {"h1": h1, "h2": h2}
+
+
+def _sub_mono_draw(group: Group, density, stream: SplitMix64) -> dict:
+    g1 = stream.below(group.order)
+    g2 = stream.below(group.order)
+    h2 = subgroup_closure(Subset.from_ids(group, sorted({g1, g2})))
+    h1 = subgroup_closure(Subset.singleton(group, stream.choice(h2.id_list())))
+    return {"h1": h1, "h2": h2}
+
+
+@_statement("Sub-mono", "pr(H2,G) <= pr(H1,G) for subgroups H1 <= H2",
+            _sub_mono_corpus, _sub_mono_draw)
 def _sub_mono(sid, h1: Subset, h2: Subset) -> tuple[Fraction, Fraction]:
     _require_subgroup(sid, h1, "H1")
     _require_subgroup(sid, h2, "H2")
@@ -183,7 +264,18 @@ def _class_size(g: int, u: Subset) -> int:
     return int(class_sizes([g], u)[0])
 
 
-@_statement("L2.5a", "|C_A(g)| |g^A| <= |A^2|")
+def _l25_corpus(group: Group, roles: dict) -> Iterator[dict]:
+    for a in _a_candidates(group, roles):
+        for g in range(group.order):
+            yield {"a": a, "g": g}
+
+
+def _l25_draw(group: Group, density, stream: SplitMix64) -> dict:
+    return {"a": random_symmetric_subset(group, density, stream), "g": stream.below(group.order)}
+
+
+# L2.5a and L2.5b take the same instances: A and every element g.
+@_statement("L2.5a", "|C_A(g)| |g^A| <= |A^2|", _l25_corpus, _l25_draw)
 def _l25a(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
     g = _element(sid, a.group, g)
@@ -191,7 +283,7 @@ def _l25a(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     return lhs, Fraction(power(a, 2).size)
 
 
-@_statement("L2.5b", "|A| <= |C_{A^2}(g)| |g^A|")
+@_statement("L2.5b", "|A| <= |C_{A^2}(g)| |g^A|", _l25_corpus, _l25_draw)
 def _l25b(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
     g = _element(sid, a.group, g)
@@ -199,7 +291,19 @@ def _l25b(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     return Fraction(a.size), rhs
 
 
-@_statement("L2.6", "|g^(A^n)| <= K^(n-1) |g^A|")
+def _l26_corpus(group: Group, roles: dict) -> Iterator[dict]:
+    for a in _a_candidates(group, roles):
+        for g in a.id_list()[:6]:
+            for n in (2, 3):
+                yield {"a": a, "g": g, "n": n}
+
+
+def _l26_draw(group: Group, density, stream: SplitMix64) -> dict:
+    a = random_symmetric_subset(group, density, stream)
+    return {"a": a, "g": stream.below(group.order), "n": 2 + stream.below(2)}
+
+
+@_statement("L2.6", "|g^(A^n)| <= K^(n-1) |g^A|", _l26_corpus, _l26_draw)
 def _l26(sid, a: Subset, g: int, n: int, k=None) -> tuple[Fraction, Fraction]:
     _require_approx(sid, a)
     if n < 1:
@@ -211,7 +315,23 @@ def _l26(sid, a: Subset, g: int, n: int, k=None) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-@_statement("P2.7", "pr(A2,B)/(K K') <= pr(A1^2,B) for symmetric A1 <= A2")
+def _p27_corpus(group: Group, roles: dict) -> Iterator[dict]:
+    a_cands = _a_candidates(group, roles)
+    for a2 in a_cands:
+        for a1 in a_cands:
+            if a1.issubset(a2):
+                for b in (Subset.full(group), Subset.singleton(group, group.order - 1)):
+                    yield {"a1": a1, "a2": a2, "b": b}
+
+
+def _p27_draw(group: Group, density, stream: SplitMix64) -> dict:
+    a2 = random_symmetric_subset(group, density, stream)
+    a1 = _draw_pairs(group, a2.id_list(), Fraction(1, 2), stream)
+    b = _random_plain_subset(group, density, stream)
+    return {"a1": a1, "a2": a2, "b": b}
+
+
+@_statement("P2.7", "pr(A2,B)/(K K') <= pr(A1^2,B) for symmetric A1 <= A2", _p27_corpus, _p27_draw)
 def _p27(sid, a1: Subset, a2: Subset, b: Subset) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a1, "A1")
     _require_symmetric(sid, a2, "A2")
@@ -225,7 +345,23 @@ def _p27(sid, a1: Subset, a2: Subset, b: Subset) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-@_statement("C2.8", "pr(A,B)/K <= pr(H,B) for a subgroup H <= A")
+def _c28_corpus(group: Group, roles: dict) -> Iterator[dict]:
+    full = Subset.full(group)
+    subs = cyclic_subgroups(group)
+    if "H" in roles:
+        subs.append(roles["H"])
+    for h in subs:
+        for b in (full, Subset.singleton(group, group.order - 1)):
+            yield {"h": h, "a": full, "b": b}
+
+
+def _c28_draw(group: Group, density, stream: SplitMix64) -> dict:
+    h = subgroup_closure(Subset.singleton(group, stream.below(group.order)))
+    a = h | random_symmetric_subset(group, density, stream)
+    return {"h": h, "a": a, "b": _random_plain_subset(group, density, stream)}
+
+
+@_statement("C2.8", "pr(A,B)/K <= pr(H,B) for a subgroup H <= A", _c28_corpus, _c28_draw)
 def _c28(sid, h: Subset, a: Subset, b: Subset, k=None) -> tuple[Fraction, Fraction]:
     _require_approx(sid, a)
     _require_subgroup(sid, h, "H")
@@ -237,7 +373,26 @@ def _c28(sid, h: Subset, a: Subset, b: Subset, k=None) -> tuple[Fraction, Fracti
     return lhs, rhs
 
 
-@_statement("P1.3", "gamma/([G:T] |[T,<B>]|) <= pr(A,G) with gamma = |A n B|/|A|")
+def _p13_corpus(group: Group, roles: dict) -> Iterator[dict]:
+    full = Subset.full(group)
+    trivial = Subset.singleton(group, group.identity)
+    t_pool = dict.fromkeys([trivial, full] + normal_subgroups(group)[:6])
+    b_cands = [full] + ([roles["A"]] if "A" in roles else [])
+    for a in _a_candidates(group, roles):
+        for b in b_cands:
+            for t in t_pool:
+                yield {"a": a, "b": b, "t": t}
+
+
+def _p13_draw(group: Group, density, stream: SplitMix64) -> dict:
+    a = _random_plain_subset(group, density, stream)
+    b = _random_plain_subset(group, density, stream)
+    t = subgroup_closure(Subset.singleton(group, stream.below(group.order)))
+    return {"a": a, "b": b, "t": t}
+
+
+@_statement("P1.3", "gamma/([G:T] |[T,<B>]|) <= pr(A,G) with gamma = |A n B|/|A|",
+            _p13_corpus, _p13_draw)
 def _p13(sid, a: Subset, b: Subset, t: Subset) -> tuple[Fraction, Fraction]:
     _require(a.size > 0, sid, "A is empty")
     _require(b.size > 0, sid, "B is empty")
@@ -250,7 +405,22 @@ def _p13(sid, a: Subset, b: Subset, t: Subset) -> tuple[Fraction, Fraction]:
     return lhs, _pr_full(a)
 
 
-@_statement("P1.4", "gamma^2/(K^4 |C'|) <= pr(A^2,A^2) with gamma = |C n A^2|/|A|")
+def _p14_corpus(group: Group, roles: dict) -> Iterator[dict]:
+    trivial = Subset.singleton(group, group.identity)
+    c_pool = dict.fromkeys([trivial, Subset.full(group)] + normal_subgroups(group)[:4])
+    for a in _a_candidates(group, roles):
+        for c in c_pool:
+            yield {"a": a, "c": c}
+
+
+def _p14_draw(group: Group, density, stream: SplitMix64) -> dict:
+    a = random_symmetric_subset(group, density, stream)
+    c = subgroup_closure(Subset.singleton(group, stream.below(group.order)))
+    return {"a": a, "c": c}
+
+
+@_statement("P1.4", "gamma^2/(K^4 |C'|) <= pr(A^2,A^2) with gamma = |C n A^2|/|A|",
+            _p14_corpus, _p14_draw)
 def _p14(sid, a: Subset, c: Subset, k=None) -> tuple[Fraction, Fraction]:
     _require_approx(sid, a)
     _require_subgroup(sid, c, "C")

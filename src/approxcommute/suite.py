@@ -1,11 +1,11 @@
 """Suite runner: every registered statement over a corpus plus seeded random instances.
 
-The corpus pass enumerates structured instances (all normal subgroups, all
-cyclic subgroups, every element where feasible); the random pass draws
-instances from per-(statement, index) derived PRNG streams, so any failure is
-reproducible from the seed and the instance key alone, independent of how
-many other statements ran.  Reports are deterministic: the only
-non-reproducible content lives under the separate "timing" key.
+Each statement registers its own instance builders (`StatementSpec.corpus`
+and `.draw`); this module only loops over them.  The random pass draws a
+group, a density and then the instance from per-(statement, index) derived
+PRNG streams, so any failure is reproducible from the seed and the instance
+key alone, independent of how many other statements ran.  Reports are
+deterministic: the only non-reproducible content lives under "timing".
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import SpecParseError
-from .group import Group, _by_size_and_mask, cyclic_subgroups, normal_subgroups, subgroup_closure
+from .group import Group
 from .rng import SplitMix64, derive_seed
 from .specio import (
     SCHEMA_VERSION,
@@ -28,8 +28,9 @@ from .specio import (
     rational_str,
     witness_to_dict,
 )
-from .statements import check, statement_ids
-from .subset import Subset, symmetrize, with_identity
+# random_symmetric_subset stays importable here: the benchmark's tracer and tests use this path
+from .statements import REGISTRY, check, random_symmetric_subset, statement_ids  # noqa: F401
+from .subset import Subset
 from .witness import witness_thm1, witness_thm2
 
 _DENSITIES = (Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
@@ -108,149 +109,6 @@ class SuiteReport:
         return doc
 
 
-def random_symmetric_subset(group: Group, density, stream: SplitMix64) -> Subset:
-    """Random inverse-closed subset containing the identity.
-
-    Each {g, g^-1} orbit with g != 1 is included independently with the given
-    probability (exact rational), drawn in ascending order of min(g, g^-1),
-    so the result depends only on the stream state and the group.
-    """
-    return _draw_pairs(group, range(group.order), Fraction(density), stream)
-
-
-def _draw_pairs(group: Group, ids, probability: Fraction, stream: SplitMix64) -> Subset:
-    """The identity plus each pair {g, g^-1} with min(g, g^-1) in ids, kept with
-    the given probability: one event per pair, drawn in the order of ids."""
-    keep = [group.identity]
-    for g in ids:
-        other = int(group.inv[g])
-        if g == group.identity or g > other:
-            continue
-        if stream.event(probability):
-            keep += [g, other]
-    return Subset.from_ids(group, keep)
-
-
-def _random_plain_subset(group: Group, density, stream: SplitMix64) -> Subset:
-    density = Fraction(density)
-    ids = [g for g in range(group.order) if stream.event(density)]
-    if not ids:
-        ids = [int(stream.below(group.order))]
-    return Subset.from_ids(group, ids)
-
-
-def _a_candidates(group: Group, roles: dict) -> list[Subset]:
-    """Symmetric identity-containing test sets for one corpus group."""
-    cands = [Subset.full(group)]
-    if group.order > 1:
-        cands.append(with_identity(symmetrize(Subset.singleton(group, 1))))
-    for role in ("A", "A0", "H"):
-        if role in roles:
-            cands.append(roles[role])
-    return list(dict.fromkeys(cands))
-
-
-def _subgroup_pool(group: Group) -> list[Subset]:
-    pool = cyclic_subgroups(group) + normal_subgroups(group) + [Subset.full(group)]
-    return sorted(dict.fromkeys(pool), key=_by_size_and_mask)
-
-
-def _corpus_instances(sid: str, group: Group, roles: dict) -> Iterator[dict]:
-    """Deterministic structured instances of one statement on one group."""
-    a_cands = _a_candidates(group, roles)
-    full = Subset.full(group)
-    trivial = Subset.singleton(group, group.identity)
-    if sid in ("P2.1", "P2.2", "C2.3a", "C2.3b"):
-        for nsub in normal_subgroups(group):
-            for a in a_cands:
-                yield {"a": a, "nsub": nsub}
-    elif sid == "Sub-mono":
-        pool = _subgroup_pool(group)
-        for h2 in pool:
-            for h1 in pool:
-                if h1.issubset(h2):
-                    yield {"h1": h1, "h2": h2}
-    elif sid in ("L2.5a", "L2.5b"):
-        for a in a_cands:
-            for g in range(group.order):
-                yield {"a": a, "g": g}
-    elif sid == "L2.6":
-        for a in a_cands:
-            for g in a.id_list()[:6]:
-                for n in (2, 3):
-                    yield {"a": a, "g": g, "n": n}
-    elif sid == "P2.7":
-        for a2 in a_cands:
-            for a1 in a_cands:
-                if a1.issubset(a2):
-                    for b in (full, Subset.singleton(group, group.order - 1)):
-                        yield {"a1": a1, "a2": a2, "b": b}
-    elif sid == "C2.8":
-        subs = cyclic_subgroups(group)
-        if "H" in roles:
-            subs.append(roles["H"])
-        for h in subs:
-            for b in (full, Subset.singleton(group, group.order - 1)):
-                yield {"h": h, "a": full, "b": b}
-    elif sid == "P1.3":
-        t_pool = dict.fromkeys([trivial, full] + normal_subgroups(group)[:6])
-        b_cands = [full] + ([roles["A"]] if "A" in roles else [])
-        for a in a_cands:
-            for b in b_cands:
-                for t in t_pool:
-                    yield {"a": a, "b": b, "t": t}
-    elif sid == "P1.4":
-        c_pool = dict.fromkeys([trivial, full] + normal_subgroups(group)[:4])
-        for a in a_cands:
-            for c in c_pool:
-                yield {"a": a, "c": c}
-    else:
-        raise KeyError(f"no corpus instance builder for statement {sid!r}")
-
-
-def _random_instance(sid: str, groups: list[tuple[Group, dict]], stream: SplitMix64) -> dict:
-    """One random instance of a statement, valid by construction."""
-    group, _roles = groups[stream.below(len(groups))]
-    density = stream.choice(_DENSITIES)
-    if sid in ("P2.1", "P2.2", "C2.3a", "C2.3b"):
-        normals = normal_subgroups(group)
-        nsub = normals[stream.below(len(normals))]
-        return {"a": random_symmetric_subset(group, density, stream), "nsub": nsub}
-    if sid == "Sub-mono":
-        g1 = stream.below(group.order)
-        g2 = stream.below(group.order)
-        h2 = subgroup_closure(Subset.from_ids(group, sorted({g1, g2})))
-        h1 = subgroup_closure(
-            Subset.singleton(group, h2.id_list()[stream.below(h2.size)])
-        )
-        return {"h1": h1, "h2": h2}
-    if sid in ("L2.5a", "L2.5b"):
-        a = random_symmetric_subset(group, density, stream)
-        return {"a": a, "g": stream.below(group.order)}
-    if sid == "L2.6":
-        a = random_symmetric_subset(group, density, stream)
-        return {"a": a, "g": stream.below(group.order), "n": 2 + stream.below(2)}
-    if sid == "P2.7":
-        a2 = random_symmetric_subset(group, density, stream)
-        a1 = _draw_pairs(group, a2.id_list(), Fraction(1, 2), stream)
-        b = _random_plain_subset(group, density, stream)
-        return {"a1": a1, "a2": a2, "b": b}
-    if sid == "C2.8":
-        h = subgroup_closure(Subset.singleton(group, stream.below(group.order)))
-        a = h | random_symmetric_subset(group, density, stream)
-        return {"h": h, "a": a, "b": _random_plain_subset(group, density, stream)}
-    if sid == "P1.3":
-        a = _random_plain_subset(group, density, stream)
-        b = _random_plain_subset(group, density, stream)
-        t = subgroup_closure(Subset.singleton(group, stream.below(group.order)))
-        return {"a": a, "b": b, "t": t}
-    if sid == "P1.4":
-        a = random_symmetric_subset(group, density, stream)
-        c = subgroup_closure(Subset.singleton(group, stream.below(group.order)))
-        return {"a": a, "c": c}
-    raise KeyError(f"no random instance builder for statement {sid!r}")
-
-
 def _load_corpus(config: SuiteConfig, cap: int) -> list[tuple[Group, dict]]:
     if config.corpus is None:
         from .corpus import default_corpus
@@ -309,8 +167,9 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             detail["repro"] = _repro_command(config, sid, key)
             failures.append(detail)
 
+        spec = REGISTRY[sid]
         for g_index, (group, roles) in enumerate(groups):
-            for i, inst in enumerate(_corpus_instances(sid, group, roles)):
+            for i, inst in enumerate(spec.corpus(group, roles)):
                 key = f"{sid}/corpus/{g_index}.{group.name}/{i}"
                 if config.only is not None and key != config.only:
                     continue
@@ -320,8 +179,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             if config.only is not None and key != config.only:
                 continue
             stream = SplitMix64(derive_seed(config.seed, sid, idx))
-            inst = _random_instance(sid, groups, stream)
-            record(key, inst)
+            group, _roles = stream.choice(groups)
+            record(key, spec.draw(group, stream.choice(_DENSITIES), stream))
 
         statements_out[sid] = {
             "instances": count,

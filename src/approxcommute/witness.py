@@ -19,13 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .approx import ApproxCertificate, certify, ruzsa_cover
-from .errors import (
-    ApproxCommuteError,
-    ClassCountCapExceeded,
-    NormalEnumerationCapExceeded,
-    PowerCapExceeded,
-    ProbabilityBelowEpsilon,
-)
+from .errors import ApproxCommuteError, PowerCapExceeded, ProbabilityBelowEpsilon
 from .group import (
     centralizer_in,
     class_sizes,
@@ -153,15 +147,9 @@ def witness_thm1(
         else _as_probability(epsilon, "epsilon")
     )
     ext = extract_core(a, full, eps, 1)
-    try:
-        normals = normal_subgroups(group)
-    except ClassCountCapExceeded as exc:
-        raise NormalEnumerationCapExceeded(
-            f"cannot search for T: {exc}"
-        ) from exc
     best = None
     best_key = None
-    for cand in normals:
+    for cand in normal_subgroups(group):
         comm = commutator_subgroup(cand, ext.b_closure)
         key = (comm.size, group.order // cand.size)
         if best_key is None or key < best_key:

@@ -445,6 +445,16 @@ def test_mul_table_is_readonly(s3):
         s3.mul[0, 0] = 3
 
 
+def test_build_from_table_leaves_the_callers_array_alone():
+    # an int32 table with the identity at id 0 needs no cast and no relabelling
+    a = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    g = build_from_table(a)
+    assert g.mul is not a and not np.shares_memory(g.mul, a)
+    assert a.flags.writeable and not g.mul.flags.writeable
+    a[0, 0] = 1
+    assert g.mul[0, 0] == 0
+
+
 def test_sampled_associativity_on_large_group():
     group = corpus.cyclic(600)
     assert group.order == 600

@@ -475,6 +475,24 @@ def test_cli_refuses_named_group_above_order_cap(capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1 and "5040" in err
 
 
+def test_cli_refuses_table_above_order_cap(capsys, monkeypatch):
+    v4 = '{"kind": "table", "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]}'
+    monkeypatch.setenv("APPROXCOMMUTE_ORDER_CAP", "3")
+    code, out, err = run_cli(capsys, "pr", v4, "all", "all")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and "order 4, above the cap 3" in err
+    monkeypatch.setenv("APPROXCOMMUTE_ORDER_CAP", "4")
+    assert run_cli(capsys, "pr", v4, "all", "all")[0] == 0
+
+
+def test_cli_witness_past_the_class_cap_exits_1(capsys, monkeypatch):
+    monkeypatch.delenv("APPROXCOMMUTE_ORDER_CAP", raising=False)
+    code, out, err = run_cli(capsys, "witness", "thm1", "C1030", "all")
+    assert code == 1 and out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "1030 conjugacy classes exceed the cap of 1024" in lines[0]
+
+
 def test_cli_exact_certify_stops_at_node_cap(capsys, monkeypatch):
     # |A^2| = 83 with 120 distinct translates: greedy finds 12, the minimum
     # is 11, and the search needs millions of nodes to prove it.

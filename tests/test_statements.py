@@ -17,6 +17,7 @@ from approxcommute import (
     statement_ids,
     symmetric,
 )
+from approxcommute.rng import SplitMix64, derive_seed
 
 from oracles import (
     inverse_map,
@@ -61,6 +62,21 @@ def test_registry_lists_every_statement():
         assert spec.statement_id == sid
         assert spec.summary
         assert spec.inputs == ALL_INPUTS[sid]
+
+
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_builders_make_valid_instances_of_their_statement(sid, s3, family_311):
+    spec = REGISTRY[sid]
+    densities = (Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
+    for group, roles in ((s3, {}), (family_311.group, dict(family_311.roles))):
+        instances = list(spec.corpus(group, roles))
+        assert instances
+        for idx in range(20):
+            stream = SplitMix64(derive_seed(3, sid, idx))
+            instances.append(spec.draw(group, densities[idx % 4], stream))
+        for inst in instances:
+            assert set(inst) <= set(spec.inputs)
+            check(sid, **inst)  # valid by construction: no HypothesisViolated
 
 
 def test_unknown_statement_and_inputs(s3):

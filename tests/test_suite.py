@@ -8,6 +8,7 @@ import pytest
 
 from approxcommute import (
     SpecParseError,
+    Subset,
     SuiteConfig,
     random_symmetric_subset,
     run_suite,
@@ -180,6 +181,53 @@ def test_output_file_written(tmp_path):
         report.payload["statements"]["L2.6"]["instances"]
     )
     assert "timing" in on_disk
+
+
+def test_run_suite_holds_no_per_statement_code(monkeypatch):
+    from approxcommute.statements import REGISTRY, StatementSpec
+
+    drawn = []
+
+    def corpus(group, roles):
+        for g in range(group.order):
+            yield {"x": Subset.singleton(group, g)}
+
+    def draw(group, density, stream):
+        drawn.append(density)
+        return {"x": random_symmetric_subset(group, density, stream)}
+
+    def evaluate(sid, x):
+        return Fraction(x.size), Fraction(0)  # fails on every instance
+
+    spec = StatementSpec("T0", "|X| <= 0", ("x",), evaluate, corpus, draw)
+    monkeypatch.setitem(REGISTRY, "T0", spec)
+    cfg = SuiteConfig.from_dict(
+        {"corpus": [S3_SPEC], "statements": ["T0"], "random_instances_per_statement": 4}
+    )
+    cfg.run_witnesses = False
+    agg = run_suite(cfg).payload["statements"]["T0"]
+    keys = [f"T0/corpus/0.S3/{g}" for g in range(6)] + [f"T0/rand/{i}" for i in range(4)]
+    assert agg["instances"] == agg["failures"] == 10
+    assert [rec["key"] for rec in agg["failure_detail"]] == keys
+    assert len(drawn) == 4 and set(drawn) <= {Fraction(1, d) for d in (6, 4, 3, 2)}
+
+
+def test_order_cap_covers_table_specs_in_a_config(capsys, tmp_path):
+    from approxcommute import OrderCapExceeded
+    from approxcommute.cli import main
+
+    c3 = {"kind": "table", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "name": "C3"}
+    doc = {"corpus": [c3], "order_cap": 2, "random_instances_per_statement": 1}
+    with pytest.raises(OrderCapExceeded):
+        run_suite(SuiteConfig.from_dict(doc))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "--skip-witnesses"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and "order 3, above the cap 2" in err
+    # a table of exactly the cap's order is allowed
+    assert run_suite(SuiteConfig.from_dict(dict(doc, order_cap=3))).failures == 0
 
 
 def test_empty_corpus_rejected():

@@ -28,3 +28,11 @@ def test_every_traced_layer_resolves():
     names = tracer.TRACED + tracer.COUNTED_FUNCTIONS + tracer.COUNTED_METHODS
     missing = [".".join(name) for name in names if not callable(_resolve(*name))]
     assert missing == []
+
+
+def test_suite_random_symmetric_subset_is_the_statements_one():
+    # The tracer wraps the function it finds at suite and replaces every
+    # binding of that same object; a second copy would go untraced.
+    assert _resolve("suite", "random_symmetric_subset") is _resolve(
+        "statements", "random_symmetric_subset"
+    )
