@@ -74,10 +74,11 @@ class Group:
     def derived(self, key: Hashable, build: Callable[[], T]) -> T:
         """The per-group data under key, made by build() on first use.
 
-        Holds the commute matrix, the conjugacy class representatives
-        (class_reps), normal and cyclic subgroups, quotient maps by normal
-        subgroups, and the greedy k of each set a statement was checked on
-        without an explicit k. Entries live as long as the group does.
+        Holds the whole group as one Subset (Subset.full), the commute matrix,
+        the conjugacy class representatives (class_reps), normal and cyclic
+        subgroups, quotient maps by normal subgroups, and the greedy k of
+        each set a statement was checked on without an explicit k. Entries
+        live as long as the group does; data about one set is on the set.
         """
         if key not in self._derived:
             self._derived[key] = build()
@@ -342,10 +343,8 @@ def center(group: Group) -> Subset:
 
 
 def is_subgroup(x: Subset) -> bool:
-    """True when x is nonempty and closed under the product."""
-    if x.size == 0:
-        return False
-    return product(x, x) == x
+    """True when x is nonempty and closed under the product; memoised on x."""
+    return x.size > 0 and x.derived("subgroup", lambda: product(x, x) == x)
 
 
 def is_normal(x: Subset) -> bool:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 from .approx import certify
 from .errors import HypothesisViolated, NotNormal, NotSubgroup
 from .group import (
@@ -165,7 +167,8 @@ def _cert_k(a: Subset, k: Optional[int]) -> int:
 
 
 def _pr_full(x: Subset) -> Fraction:
-    return commuting_probability(x, Subset.full(x.group))
+    """pr(x, G), memoised on x."""
+    return x.derived("pr_full", lambda: commuting_probability(x, Subset.full(x.group)))
 
 
 def _quotient_bound(sid: str, chain: list[Subset], nsub: Subset, ambient: bool) -> Fraction:
@@ -230,10 +233,11 @@ def _c23b(sid, a, nsub, k=None):
 def _sub_mono_corpus(group: Group, roles: dict) -> Iterator[dict]:
     pool = cyclic_subgroups(group) + normal_subgroups(group) + [Subset.full(group)]
     pool = sorted(dict.fromkeys(pool), key=_by_size_and_mask)
-    for h2 in pool:
-        for h1 in pool:
-            if h1.issubset(h2):
-                yield {"h1": h1, "h2": h2}
+    m = np.array([h.mask for h in pool])
+    inside = (m.astype(np.int32) @ (~m).T.astype(np.int32)) == 0  # [i, k]: pool[i] <= pool[k]
+    for k, h2 in enumerate(pool):
+        for i in np.flatnonzero(inside[:, k]):
+            yield {"h1": pool[i], "h2": h2}
 
 
 def _sub_mono_draw(group: Group, density, stream: SplitMix64) -> dict:

@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import GroupMismatch
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .group import Group
+    from .group import Group, T
 
 
 class Subset:
-    """Immutable subset of a group's element ids, stored as a dense mask."""
+    """Immutable subset of a group's element ids: read-only mask and ids, plus derived data."""
 
-    __slots__ = ("group", "mask", "ids", "size")
+    __slots__ = ("group", "mask", "ids", "size", "_derived")
 
     def __init__(self, group: "Group", mask: np.ndarray, *, _trusted: bool = False):
         if not _trusted:
@@ -25,13 +25,24 @@ class Subset:
                     f"mask length {mask.shape} does not match group order {group.order}"
                 )
         mask.flags.writeable = False
+        ids = mask.nonzero()[0]
+        ids.flags.writeable = False
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "ids", np.flatnonzero(mask))
-        object.__setattr__(self, "size", int(self.ids.shape[0]))
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "size", int(ids.shape[0]))
+        object.__setattr__(self, "_derived", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subset is immutable")
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The data about this set under key, made by build() on first use, freed with the set."""
+        if self._derived is None:
+            object.__setattr__(self, "_derived", {})
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     # -- constructors ------------------------------------------------------
 
@@ -46,7 +57,8 @@ class Subset:
 
     @classmethod
     def full(cls, group: "Group") -> "Subset":
-        return cls(group, np.ones(group.order, dtype=bool), _trusted=True)
+        """The whole group, one shared object per group."""
+        return group.derived("full", lambda: cls(group, np.ones(group.order, bool), _trusted=True))
 
     @classmethod
     def empty(cls, group: "Group") -> "Subset":
@@ -131,25 +143,33 @@ def product(x: Subset, y: Subset) -> Subset:
 
 
 def powers(x: Subset, j: int) -> list[Subset]:
-    """The chain [x^1, ..., x^j], one product per step.
+    """The chain [x^1, ..., x^j] as a new list, one product per step.
 
     Once x^(i+1) == x^i every higher power equals it, so the rest of the
-    chain repeats that set without further products.
+    chain repeats that set without further products. A set containing 1
+    keeps its powers on itself, as they only grow and stop within |G| steps;
+    other sets walk afresh, since theirs may cycle ({1} in C3: x^4 == x).
     """
     if j < 1:
         raise ValueError(f"power exponent must be >= 1, got {j}")
-    chain = [x]
-    while len(chain) < j:
-        nxt = product(chain[-1], x)
-        if nxt == chain[-1]:  # stabilized
-            chain += [chain[-1]] * (j - len(chain))
-            break
-        chain.append(nxt)
-    return chain
+    fresh = lambda: [[], False]  # [[x^2, x^3, ...], stable]
+    memo = x.derived("powers", fresh) if x.contains_identity else fresh()
+    higher = memo[0]
+    while len(higher) + 1 < j and not memo[1]:
+        last = higher[-1] if higher else x
+        nxt = product(last, x)
+        if nxt == last:
+            memo[1] = True
+        else:
+            higher.append(nxt)
+    chain = [x] + higher[: j - 1]
+    return chain + [chain[-1]] * (j - len(chain))
 
 
 def power(x: Subset, j: int) -> Subset:
     """j-fold product set x^j (x^1 = x); the walk stops where the chain stabilizes."""
+    if x.contains_identity:  # its chain is stable by x^|G|
+        return powers(x, min(j, x.group.order))[-1]
     if j < 1:
         raise ValueError(f"power exponent must be >= 1, got {j}")
     current = x

@@ -13,10 +13,12 @@ from approxcommute import (
     Subset,
     check,
     cyclic,
+    dihedral,
     direct_product,
     statement_ids,
     symmetric,
 )
+from approxcommute.group import _by_size_and_mask, cyclic_subgroups, normal_subgroups
 from approxcommute.rng import SplitMix64, derive_seed
 
 from oracles import (
@@ -77,6 +79,42 @@ def test_builders_make_valid_instances_of_their_statement(sid, s3, family_311):
         for inst in instances:
             assert set(inst) <= set(spec.inputs)
             check(sid, **inst)  # valid by construction: no HypothesisViolated
+
+
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_memos_on_sets_do_not_change_any_result(sid, s3, d4, family_311):
+    # Fresh copies carry no memo; the builder's own objects are shared
+    # between instances, so replaying them backwards reads memos that later
+    # instances made.
+    def fresh(value):
+        return Subset(value.group, value.mask.copy()) if isinstance(value, Subset) else value
+
+    spec = REGISTRY[sid]
+    for group, roles in ((s3, {}), (d4, {}), (family_311.group, dict(family_311.roles))):
+        instances = list(spec.corpus(group, roles))
+        copied = [check(sid, **{k: fresh(v) for k, v in inst.items()}) for inst in instances]
+        shared = [check(sid, **inst) for inst in reversed(instances)][::-1]
+        assert [(r.lhs, r.rhs) for r in shared] == [(r.lhs, r.rhs) for r in copied]
+
+
+def test_sub_mono_corpus_is_the_issubset_loop(s3, d4, family_311):
+    for group in (s3, d4, family_311.group, dihedral(12)):
+        pool = cyclic_subgroups(group) + normal_subgroups(group) + [Subset.full(group)]
+        pool = sorted(dict.fromkeys(pool), key=_by_size_and_mask)
+        loop = [(h1, h2) for h2 in pool for h1 in pool if h1.issubset(h2)]
+        got = [(inst["h1"], inst["h2"]) for inst in REGISTRY["Sub-mono"].corpus(group, {})]
+        assert got == loop
+
+
+def test_the_whole_group_is_one_read_only_set(s3, d4):
+    for group in (s3, d4):
+        full = Subset.full(group)
+        assert full is Subset.full(group)
+        assert full.size == group.order
+        for arr in (full.mask, full.ids):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
 
 
 def test_unknown_statement_and_inputs(s3):

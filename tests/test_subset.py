@@ -131,6 +131,26 @@ def test_power_of_huge_exponent_returns_the_stable_set(s3):
     assert power(spread, 10**9) == Subset.full(s3)
 
 
+def test_powers_of_a_set_without_the_identity_cycle():
+    # {1} in C3 has no fixed point: its powers run 1, 2, 0, 1, ... and never
+    # stabilize, so no chain may be cut at the group order.
+    c3 = corpus.cyclic(3)
+    x = Subset.from_ids(c3, [1])
+    expected = [[1], [2], [0], [1], [2], [0], [1]]
+    assert [power(x, j).id_list() for j in range(1, 8)] == expected
+    assert [xj.id_list() for xj in powers(x, 7)] == expected
+
+
+def test_powers_returns_a_list_the_caller_may_change(s3):
+    a = Subset.from_ids(s3, [0, 1, 2])  # |a^j| = 3, 6, 6, ...
+    chain = powers(a, 4)
+    expected = [xj.id_list() for xj in chain]
+    chain[1] = Subset.empty(s3)
+    chain.append(Subset.empty(s3))
+    assert [xj.id_list() for xj in powers(a, 5)] == expected + [expected[-1]]
+    assert [xj.id_list() for xj in powers(a, 4)] == expected
+
+
 def test_invert_and_symmetry(s3):
     # id 1 is a transposition (self-inverse); the 3-cycles invert to each other.
     x = Subset.from_ids(s3, [1])
