@@ -234,7 +234,7 @@ def _sub_mono_corpus(group: Group, roles: dict) -> Iterator[dict]:
     pool = cyclic_subgroups(group) + normal_subgroups(group) + [Subset.full(group)]
     pool = sorted(dict.fromkeys(pool), key=_by_size_and_mask)
     m = np.array([h.mask for h in pool])
-    inside = (m.astype(np.int32) @ (~m).T.astype(np.int32)) == 0  # [i, k]: pool[i] <= pool[k]
+    inside = ~(m @ ~m.T)  # [i, k]: no element of pool[i] lies outside pool[k]
     for k, h2 in enumerate(pool):
         for i in np.flatnonzero(inside[:, k]):
             yield {"h1": pool[i], "h2": h2}

@@ -143,17 +143,15 @@ def product(x: Subset, y: Subset) -> Subset:
 
 
 def powers(x: Subset, j: int) -> list[Subset]:
-    """The chain [x^1, ..., x^j] as a new list, one product per step.
+    """The chain [x^1, ..., x^j] as a new list, one product per step, kept on x.
 
     Once x^(i+1) == x^i every higher power equals it, so the rest of the
-    chain repeats that set without further products. A set containing 1
-    keeps its powers on itself, as they only grow and stop within |G| steps;
-    other sets walk afresh, since theirs may cycle ({1} in C3: x^4 == x).
+    chain repeats that set without further products. A set whose powers
+    cycle ({1} in C3: x^4 == x) never stabilizes and keeps the j - 1 asked for.
     """
     if j < 1:
         raise ValueError(f"power exponent must be >= 1, got {j}")
-    fresh = lambda: [[], False]  # [[x^2, x^3, ...], stable]
-    memo = x.derived("powers", fresh) if x.contains_identity else fresh()
+    memo = x.derived("powers", lambda: [[], False])  # [[x^2, x^3, ...], stable]
     higher = memo[0]
     while len(higher) + 1 < j and not memo[1]:
         last = higher[-1] if higher else x
@@ -167,8 +165,12 @@ def powers(x: Subset, j: int) -> list[Subset]:
 
 
 def power(x: Subset, j: int) -> Subset:
-    """j-fold product set x^j (x^1 = x); the walk stops where the chain stabilizes."""
-    if x.contains_identity:  # its chain is stable by x^|G|
+    """j-fold product set x^j (x^1 = x); the walk stops where the chain stabilizes.
+
+    A set containing 1 keeps its chain, up to |G| - 1 sets, for its lifetime;
+    any other set may cycle, so j is not capped and it walks afresh.
+    """
+    if x.contains_identity:
         return powers(x, min(j, x.group.order))[-1]
     if j < 1:
         raise ValueError(f"power exponent must be >= 1, got {j}")

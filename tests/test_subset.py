@@ -141,6 +141,20 @@ def test_powers_of_a_set_without_the_identity_cycle():
     assert [xj.id_list() for xj in powers(x, 7)] == expected
 
 
+def test_powers_kept_on_a_set_without_the_identity_extend_in_pieces():
+    # The chain kept on x is read and extended by calls of any length; a
+    # set without 1 may cycle ({1}) or stabilize ({1, 2}: x^2 = C3).
+    c3 = corpus.cyclic(3)
+    cycling = Subset.from_ids(c3, [1])
+    assert [xj.id_list() for xj in powers(cycling, 2)] == [[1], [2]]
+    assert [xj.id_list() for xj in powers(cycling, 5)] == [[1], [2], [0], [1], [2]]
+    assert [xj.id_list() for xj in powers(cycling, 3)] == [[1], [2], [0]]
+    assert power(cycling, 7).id_list() == [1]
+    stable = Subset.from_ids(c3, [1, 2])
+    assert [xj.id_list() for xj in powers(stable, 4)] == [[1, 2]] + [[0, 1, 2]] * 3
+    assert power(stable, 10**9) == Subset.full(c3)
+
+
 def test_powers_returns_a_list_the_caller_may_change(s3):
     a = Subset.from_ids(s3, [0, 1, 2])  # |a^j| = 3, 6, 6, ...
     chain = powers(a, 4)
