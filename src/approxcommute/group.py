@@ -75,10 +75,11 @@ class Group:
         """The per-group data under key, made by build() on first use.
 
         Holds the whole group as one Subset (Subset.full), the commute matrix,
-        the conjugacy class representatives (class_reps), normal and cyclic
-        subgroups, quotient maps by normal subgroups, and the greedy k of
-        each set a statement was checked on without an explicit k. Entries
-        live as long as the group does; data about one set is on the set.
+        the conjugacy class representatives (class_reps), the masks of every
+        <g> (cyclic_subgroup), normal and cyclic subgroups, quotient maps by
+        normal subgroups, and the greedy k of each set a statement was checked
+        on without an explicit k. Entries live as long as the group does; data
+        about one set is on the set.
         """
         if key not in self._derived:
             self._derived[key] = build()
@@ -356,13 +357,33 @@ def _by_size_and_mask(sub: Subset) -> tuple[int, bytes]:
     return sub.size, sub.mask.tobytes()
 
 
+def cyclic_subgroup(group: Group, g: int) -> Subset:
+    """The cyclic subgroup <g>: row g of a bool matrix of every <g>, kept on the group.
+
+    One power walk for all g at once makes the matrix: walk g marks g^k in
+    row g until g^k = 1.
+    """
+
+    def build() -> np.ndarray:
+        rows = np.zeros((group.order, group.order), dtype=bool)
+        rows[:, group.identity] = True
+        live = cur = np.arange(1, group.order)  # id 0 is the identity
+        while live.size:
+            rows[live, cur] = True
+            cur = group.mul[cur, live]
+            back = cur == group.identity
+            live, cur = live[~back], cur[~back]
+        rows.flags.writeable = False
+        return rows
+
+    return Subset(group, group.derived("cyclic_rows", build)[g], _trusted=True)
+
+
 def cyclic_subgroups(group: Group) -> list[Subset]:
     """Distinct cyclic subgroups, ordered by (size, mask); memoised on the group."""
 
     def build() -> tuple[Subset, ...]:
-        found = dict.fromkeys(
-            subgroup_closure(Subset.singleton(group, g)) for g in range(group.order)
-        )
+        found = dict.fromkeys(cyclic_subgroup(group, g) for g in range(group.order))
         return tuple(sorted(found, key=_by_size_and_mask))
 
     return list(group.derived("cyclics", build))
@@ -376,8 +397,10 @@ def normal_subgroups(group: Group, *, class_cap: int = DEFAULT_CLASS_CAP) -> lis
     set.  So the list is the closure of {1} under N -> N*<C>, where <C> runs
     over the subgroups generated by the conjugacy classes: #normals *
     #classes products at most (Hulpke, "Computing normal subgroups", ISSAC
-    1998).  The class representatives and the result are memoised on the
-    group; each call checks class_cap and returns a fresh list.
+    1998); classes whose representatives generate one cyclic subgroup have
+    one <C>, so only one of them is closed.  The class representatives and the
+    result are memoised on the group; each call checks class_cap and returns
+    a fresh list.
     """
     reps = class_reps(group)
     n_classes = int(np.count_nonzero(reps == np.arange(group.order)))
@@ -387,7 +410,9 @@ def normal_subgroups(group: Group, *, class_cap: int = DEFAULT_CLASS_CAP) -> lis
         )
 
     def build() -> tuple[Subset, ...]:
-        principals = dict.fromkeys(subgroup_closure(c) for c in conjugacy_classes(group))
+        by_cyclic = {cyclic_subgroup(group, r).mask.tobytes(): r for r in np.unique(reps)}
+        classes = (Subset(group, reps == r, _trusted=True) for r in by_cyclic.values())
+        principals = dict.fromkeys(subgroup_closure(c) for c in classes)
         trivial = Subset.singleton(group, group.identity)
         found = dict.fromkeys([trivial])
         queue = [trivial]

@@ -5,12 +5,16 @@ finalizer).  Streams are derived from a 64-bit seed plus a list of keys via
 FNV-1a hashing, so the same (seed, keys) always yields the same stream on any
 platform or implementation.  All bounded draws use plain modulo reduction and
 all probability events use exact integer comparison, so no floating point is
-involved anywhere.
+involved anywhere: a draw x is a hit at p = a/b when x*b < a*2^64, that is when
+x < ceil(p*2^64), clamped to [0, 2^64].  Draw i after state s is mix(s + i*gamma),
+so `events` draws a block of them as one wrapping uint64 array.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -18,7 +22,8 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def _mix(z: int) -> int:
+def _mix(z):
+    """The splitmix64 finalizer, on an int or elementwise on a uint64 array."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -60,15 +65,18 @@ class SplitMix64:
         return self.next_u64() % n
 
     def event(self, probability: Fraction) -> bool:
-        """True with the given exact probability (integer comparison, no floats)."""
-        p = Fraction(probability)
-        if p <= 0:
-            self.next_u64()
-            return False
-        if p >= 1:
-            self.next_u64()
-            return True
-        return self.next_u64() * p.denominator < p.numerator << 64
+        """True with the given exact probability: one draw of `events`."""
+        return bool(self.events(probability, 1)[0])
+
+    def events(self, probability: Fraction, count: int) -> np.ndarray:
+        """The next count event(probability) outcomes as one bool array, one uint64 block."""
+        p, start = Fraction(probability), self._state
+        t = min(max(-(-(p.numerator << 64) // p.denominator), 0), 1 << 64)  # ceil(p 2^64)
+        self._state = (start + count * _GAMMA) & _MASK64
+        if t > _MASK64:  # p >= 1: every draw is below 2^64, which uint64 cannot hold
+            return np.ones(count, dtype=bool)
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        return _mix(steps * np.uint64(_GAMMA) + np.uint64(start)) < np.uint64(t)
 
     def choice(self, items):
         return items[self.below(len(items))]

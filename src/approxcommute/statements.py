@@ -22,16 +22,16 @@ from .group import (
     Group,
     QuotientMap,
     _by_size_and_mask,
-    centralizer_in,
     class_sizes,
     commutator_subgroup,
+    cyclic_subgroup,
     cyclic_subgroups,
     is_subgroup,
     normal_subgroups,
     quotient,
     subgroup_closure,
 )
-from .probability import commuting_probability
+from .probability import _centralizer_counts, commuting_probability
 from .rng import SplitMix64
 from .subset import Subset, is_symmetric, power, powers, symmetrize, with_identity
 
@@ -92,23 +92,21 @@ def random_symmetric_subset(group: Group, density, stream: SplitMix64) -> Subset
 
 def _draw_pairs(group: Group, ids, probability: Fraction, stream: SplitMix64) -> Subset:
     """The identity plus each pair {g, g^-1} with min(g, g^-1) in ids, kept with
-    the given probability: one event per pair, drawn in the order of ids."""
-    keep = [group.identity]
-    for g in ids:
-        other = int(group.inv[g])
-        if g == group.identity or g > other:
-            continue
-        if stream.event(probability):
-            keep += [g, other]
-    return Subset.from_ids(group, keep)
+    the given probability: one event per pair, drawn as one block in the order of ids."""
+    ids = np.asarray(ids, dtype=np.intp)
+    pick = ids[(ids != group.identity) & (ids <= group.inv[ids])]
+    keep = pick[stream.events(probability, pick.size)]
+    mask = np.zeros(group.order, dtype=bool)
+    mask[group.identity] = True
+    mask[keep] = mask[group.inv[keep]] = True
+    return Subset(group, mask, _trusted=True)
 
 
 def _random_plain_subset(group: Group, density, stream: SplitMix64) -> Subset:
-    density = Fraction(density)
-    ids = [g for g in range(group.order) if stream.event(density)]
-    if not ids:
-        ids = [int(stream.below(group.order))]
-    return Subset.from_ids(group, ids)
+    mask = stream.events(density, group.order)
+    if not mask.any():
+        mask[stream.below(group.order)] = True
+    return Subset(group, mask, _trusted=True)
 
 
 def _a_candidates(group: Group, roles: dict) -> list[Subset]:
@@ -171,6 +169,11 @@ def _pr_full(x: Subset) -> Fraction:
     return x.derived("pr_full", lambda: commuting_probability(x, Subset.full(x.group)))
 
 
+def _pr_self(x: Subset) -> Fraction:
+    """pr(x, x), memoised on x."""
+    return x.derived("pr_self", lambda: commuting_probability(x, x))
+
+
 def _quotient_bound(sid: str, chain: list[Subset], nsub: Subset, ambient: bool) -> Fraction:
     """pr(AN/N, G/N) pr(A^4 n N, N) if ambient, else pr(AN/N, AN/N) pr(A^4 n N, A^2 n N).
 
@@ -212,7 +215,7 @@ def _p22(sid, a: Subset, nsub: Subset) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
     chain = powers(a, 5)
     lead = Fraction(chain[2].size * chain[4].size, a.size**2)
-    return commuting_probability(a, a), lead * _quotient_bound(sid, chain, nsub, ambient=False)
+    return _pr_self(a), lead * _quotient_bound(sid, chain, nsub, ambient=False)
 
 
 @_statement("C2.3a", "pr(A,G) <= K^4 pr(AN/N, G/N) pr(A^4 n N, N)", _quot_corpus, _quot_draw)
@@ -227,7 +230,7 @@ def _c23b(sid, a, nsub, k=None):
     _require_approx(sid, a)
     lead = Fraction(_cert_k(a, k) ** 6)
     bound = _quotient_bound(sid, powers(a, 4), nsub, ambient=False)
-    return commuting_probability(a, a), lead * bound
+    return _pr_self(a), lead * bound
 
 
 def _sub_mono_corpus(group: Group, roles: dict) -> Iterator[dict]:
@@ -244,7 +247,7 @@ def _sub_mono_draw(group: Group, density, stream: SplitMix64) -> dict:
     g1 = stream.below(group.order)
     g2 = stream.below(group.order)
     h2 = subgroup_closure(Subset.from_ids(group, sorted({g1, g2})))
-    h1 = subgroup_closure(Subset.singleton(group, stream.choice(h2.id_list())))
+    h1 = cyclic_subgroup(group, stream.choice(h2.ids))
     return {"h1": h1, "h2": h2}
 
 
@@ -264,8 +267,14 @@ def _element(sid: str, group: Group, g) -> int:
     return g
 
 
-def _class_size(g: int, u: Subset) -> int:
-    return int(class_sizes([g], u)[0])
+def _centralizer_row(x: Subset) -> np.ndarray:
+    """|C_x(g)| for every g in the group, memoised on x."""
+    return x.derived("centralizer_row", lambda: _centralizer_counts(x, Subset.full(x.group)))
+
+
+def _class_row(x: Subset) -> np.ndarray:
+    """|g^x| for every g in the group, memoised on x."""
+    return x.derived("class_row", lambda: class_sizes(np.arange(x.group.order), x))
 
 
 def _l25_corpus(group: Group, roles: dict) -> Iterator[dict]:
@@ -283,7 +292,7 @@ def _l25_draw(group: Group, density, stream: SplitMix64) -> dict:
 def _l25a(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
     g = _element(sid, a.group, g)
-    lhs = Fraction(centralizer_in(a, g).size * _class_size(g, a))
+    lhs = Fraction(int(_centralizer_row(a)[g] * _class_row(a)[g]))
     return lhs, Fraction(power(a, 2).size)
 
 
@@ -291,7 +300,7 @@ def _l25a(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
 def _l25b(sid, a: Subset, g: int) -> tuple[Fraction, Fraction]:
     _require_symmetric(sid, a)
     g = _element(sid, a.group, g)
-    rhs = Fraction(centralizer_in(power(a, 2), g).size * _class_size(g, a))
+    rhs = Fraction(int(_centralizer_row(power(a, 2))[g] * _class_row(a)[g]))
     return Fraction(a.size), rhs
 
 
@@ -314,8 +323,8 @@ def _l26(sid, a: Subset, g: int, n: int, k=None) -> tuple[Fraction, Fraction]:
         raise ValueError(f"n must be >= 1, got {n}")
     kk = _cert_k(a, k)
     g = _element(sid, a.group, g)
-    lhs = Fraction(_class_size(g, power(a, n)))
-    rhs = Fraction(kk ** (n - 1) * _class_size(g, a))
+    lhs = Fraction(int(_class_row(power(a, n))[g]))
+    rhs = Fraction(kk ** (n - 1) * int(_class_row(a)[g]))
     return lhs, rhs
 
 
@@ -330,7 +339,7 @@ def _p27_corpus(group: Group, roles: dict) -> Iterator[dict]:
 
 def _p27_draw(group: Group, density, stream: SplitMix64) -> dict:
     a2 = random_symmetric_subset(group, density, stream)
-    a1 = _draw_pairs(group, a2.id_list(), Fraction(1, 2), stream)
+    a1 = _draw_pairs(group, a2.ids, Fraction(1, 2), stream)
     b = _random_plain_subset(group, density, stream)
     return {"a1": a1, "a2": a2, "b": b}
 
@@ -360,7 +369,7 @@ def _c28_corpus(group: Group, roles: dict) -> Iterator[dict]:
 
 
 def _c28_draw(group: Group, density, stream: SplitMix64) -> dict:
-    h = subgroup_closure(Subset.singleton(group, stream.below(group.order)))
+    h = cyclic_subgroup(group, stream.below(group.order))
     a = h | random_symmetric_subset(group, density, stream)
     return {"h": h, "a": a, "b": _random_plain_subset(group, density, stream)}
 
@@ -391,7 +400,7 @@ def _p13_corpus(group: Group, roles: dict) -> Iterator[dict]:
 def _p13_draw(group: Group, density, stream: SplitMix64) -> dict:
     a = _random_plain_subset(group, density, stream)
     b = _random_plain_subset(group, density, stream)
-    t = subgroup_closure(Subset.singleton(group, stream.below(group.order)))
+    t = cyclic_subgroup(group, stream.below(group.order))
     return {"a": a, "b": b, "t": t}
 
 
@@ -419,7 +428,7 @@ def _p14_corpus(group: Group, roles: dict) -> Iterator[dict]:
 
 def _p14_draw(group: Group, density, stream: SplitMix64) -> dict:
     a = random_symmetric_subset(group, density, stream)
-    c = subgroup_closure(Subset.singleton(group, stream.below(group.order)))
+    c = cyclic_subgroup(group, stream.below(group.order))
     return {"a": a, "c": c}
 
 
@@ -433,7 +442,7 @@ def _p14(sid, a: Subset, c: Subset, k=None) -> tuple[Fraction, Fraction]:
     gamma = Fraction((c & a2).size, a.size)
     s = commutator_subgroup(c, c).size
     lhs = gamma**2 / (Fraction(kk**4) * s)
-    return lhs, commuting_probability(a2, a2)
+    return lhs, _pr_self(a2)
 
 
 def statement_ids() -> list[str]:

@@ -192,8 +192,8 @@ def invert(x: Subset) -> Subset:
 
 
 def is_symmetric(x: Subset) -> bool:
-    """True when x is closed under inverses."""
-    return bool(np.array_equal(x.mask, x.mask[x.group.inv]))
+    """True when x is closed under inverses; memoised on x."""
+    return x.derived("symmetric", lambda: bool(np.array_equal(x.mask, x.mask[x.group.inv])))
 
 
 def symmetrize(x: Subset) -> Subset:

@@ -137,6 +137,42 @@ def oracle_all_subgroups(mul) -> set[frozenset[int]]:
     return subs
 
 
+def _by_size_and_mask(sets, n) -> list[bytes]:
+    """Masks of the distinct sets, ordered as the package orders subgroups."""
+    masks = set()
+    for ids in sets:
+        mask = np.zeros(n, dtype=bool)
+        mask[list(ids)] = True
+        masks.add(mask.tobytes())
+    return sorted(masks, key=lambda m: (m.count(1), m))
+
+
+def reference_cyclic_closures(mul) -> list[frozenset[int]]:
+    """<g> for each g by its own closure: the per-element loop the power walk replaced."""
+    mul_np = np.asarray(mul)
+    return [_closure_np(mul_np, [g]) for g in range(mul_np.shape[0])]
+
+
+def reference_cyclic_subgroups(mul) -> list[bytes]:
+    return _by_size_and_mask(reference_cyclic_closures(mul), len(mul))
+
+
+def reference_normal_subgroups(mul) -> list[bytes]:
+    """Joins of the normal closures of every conjugacy class, one closure per class."""
+    mul_np = np.asarray(mul)
+    principals = {_closure_np(mul_np, c) for c in oracle_conjugacy_classes(mul)}
+    found = {frozenset([identity_of(mul)])}
+    queue = list(found)
+    while queue:
+        base = queue.pop()
+        for prin in principals:
+            join = _closure_np(mul_np, base | prin)
+            if join not in found:
+                found.add(join)
+                queue.append(join)
+    return _by_size_and_mask(found, len(mul))
+
+
 def oracle_is_normal(ids, mul, inv) -> bool:
     members = set(ids)
     n = len(mul)

@@ -34,7 +34,7 @@ from approxcommute import (
     subgroup_closure,
 )
 from approxcommute import corpus
-from approxcommute.group import class_sizes
+from approxcommute.group import class_sizes, cyclic_subgroup, cyclic_subgroups
 
 from oracles import (
     compose,
@@ -48,6 +48,9 @@ from oracles import (
     oracle_subgroup_closure,
     inverse_map,
     permutation_table,
+    reference_cyclic_closures,
+    reference_cyclic_subgroups,
+    reference_normal_subgroups,
 )
 
 
@@ -367,6 +370,18 @@ def test_normal_subgroups_complete_beyond_oracle(params, count):
             assert product(n, m).mask.tobytes() in masks
     for cls in conjugacy_classes(group):
         assert subgroup_closure(cls).mask.tobytes() in masks
+
+
+def test_cyclic_and_normal_subgroups_match_the_closure_loop(default_corpus, family_522):
+    # The power walk and the one closure per distinct <rep> give the lists of
+    # one closure per element and per class: the same sets in the same order.
+    for group in [g for g, _ in default_corpus] + [family_522.group]:
+        closures = reference_cyclic_closures(group.mul)
+        assert [set(cyclic_subgroup(group, g)) for g in range(group.order)] == closures
+        masks = [h.mask.tobytes() for h in cyclic_subgroups(group)]
+        assert masks == reference_cyclic_subgroups(group.mul), group.name
+        masks = [n.mask.tobytes() for n in normal_subgroups(group)]
+        assert masks == reference_normal_subgroups(group.mul), group.name
 
 
 def test_normal_subgroups_memo_contract():

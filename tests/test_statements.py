@@ -9,6 +9,7 @@ import pytest
 
 from approxcommute import (
     HypothesisViolated,
+    centralizer_in,
     REGISTRY,
     Subset,
     check,
@@ -18,7 +19,8 @@ from approxcommute import (
     statement_ids,
     symmetric,
 )
-from approxcommute.group import _by_size_and_mask, cyclic_subgroups, normal_subgroups
+from approxcommute import corpus, statements
+from approxcommute.group import _by_size_and_mask, class_sizes, cyclic_subgroups, normal_subgroups
 from approxcommute.rng import SplitMix64, derive_seed
 
 from oracles import (
@@ -254,6 +256,26 @@ def test_centralizer_class_tradeoff_exhaustive(s3):
                 assert rb.lhs == len(aids)
                 assert rb.rhs == len(oracle_centralizer(sorted(a2), g, s3.mul)) * len(cls)
                 assert rb.holds
+
+
+@pytest.mark.parametrize("name", ["S4", "D12", "Q16", "family:3,1,1"])
+def test_per_set_rows_are_the_one_element_counts(name, family_311):
+    group = family_311.group if name.startswith("family") else corpus.named(name)
+    stream = SplitMix64(derive_seed(5, "rows", name))
+    sets = [
+        Subset.full(group),
+        Subset.empty(group),
+        Subset.from_ids(group, [1, group.order - 1]),  # no identity
+        statements.random_symmetric_subset(group, Fraction(1, 3), stream),
+        statements._random_plain_subset(group, Fraction(1, 4), stream),
+    ]
+    for u in sets:
+        assert statements._centralizer_row(u).tolist() == [
+            centralizer_in(u, g).size for g in range(group.order)
+        ]
+        assert statements._class_row(u).tolist() == [
+            int(class_sizes([g], u)[0]) for g in range(group.order)
+        ]
 
 
 def test_conjugate_growth_statement(s3, family_311):
