@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .approx import certify, growth_constants, ruzsa_cover
-from .errors import ApproxCommuteError, BadParams, SpecParseError
+from .errors import ApproxCommuteError, BadParams, OutputError, SpecParseError
 from .family import ExampleParams, build_example, predicted_quantities
 from .probability import commuting_probability
 from .specio import (
@@ -91,7 +91,11 @@ def _parse_ids(text: str) -> list[int]:
 
 
 def _emit(document: dict) -> None:
-    sys.stdout.write(dump_json(document))
+    try:
+        sys.stdout.write(dump_json(document))
+        sys.stdout.flush()
+    except OSError as exc:
+        raise OutputError(f"cannot write output: {exc}") from exc
 
 
 def _cmd_pr(args) -> int:

@@ -63,6 +63,10 @@ class PowerCapExceeded(ApproxCommuteError):
     """Requested power chain is beyond the supported cap."""
 
 
+class OutputError(ApproxCommuteError):
+    """A result could not be written to its output file or stream."""
+
+
 class HypothesisViolated(ApproxCommuteError):
     """A statement check received an instance violating its hypotheses."""
 

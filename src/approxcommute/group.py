@@ -76,10 +76,9 @@ class Group:
 
         Holds the whole group as one Subset (Subset.full), the commute matrix,
         the conjugacy class representatives (class_reps), the masks of every
-        <g> (cyclic_subgroup), normal and cyclic subgroups, quotient maps by
-        normal subgroups, and the greedy k of each set a statement was checked
-        on without an explicit k. Entries live as long as the group does; data
-        about one set is on the set.
+        <g> (cyclic_subgroup), and the normal and cyclic subgroups. Entries
+        live as long as the group does; data about one set, such as the coset
+        arrays of a normal subgroup or the greedy k of a set, is on the set.
         """
         if key not in self._derived:
             self._derived[key] = build()

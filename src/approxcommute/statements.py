@@ -17,18 +17,17 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .approx import certify
-from .errors import HypothesisViolated, NotNormal, NotSubgroup
+from .errors import HypothesisViolated
 from .group import (
     Group,
-    QuotientMap,
     _by_size_and_mask,
     class_sizes,
     commutator_subgroup,
     cyclic_subgroup,
     cyclic_subgroups,
+    is_normal,
     is_subgroup,
     normal_subgroups,
-    quotient,
     subgroup_closure,
 )
 from .probability import _centralizer_counts, commuting_probability
@@ -141,27 +140,13 @@ def _require_subgroup(sid: str, h: Subset, label: str) -> None:
     _require(is_subgroup(h), sid, f"{label} must be a subgroup")
 
 
-def _quotient_by(sid: str, nsub: Subset) -> QuotientMap:
-    # Quotient construction dominates some checks, and suites hit the same
-    # normal subgroup thousands of times; the map is kept on the group.
-    group = nsub.group
-    try:
-        return group.derived(
-            ("quotient", nsub.mask.tobytes()), lambda: quotient(group, nsub)
-        )
-    except (NotSubgroup, NotNormal) as exc:
-        raise HypothesisViolated(sid, f"N must be a normal subgroup: {exc}") from exc
-
-
 def _cert_k(a: Subset, k: Optional[int]) -> int:
-    """k if given, else k_cert of the greedy certificate of a, memoised on its group."""
+    """k if given, else k_cert of the greedy certificate of a, memoised on a."""
     if k is not None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         return k
-    return a.group.derived(
-        ("greedy_k", a.mask.tobytes()), lambda: certify(a, "greedy").k_cert
-    )
+    return a.derived("greedy_k", lambda: certify(a, "greedy").k_cert)
 
 
 def _pr_full(x: Subset) -> Fraction:
@@ -174,18 +159,28 @@ def _pr_self(x: Subset) -> Fraction:
     return x.derived("pr_self", lambda: commuting_probability(x, x))
 
 
+def _coset_arrays(nsub: Subset) -> tuple[np.ndarray, np.ndarray]:
+    """coset[g] numbers gN by least element r; commute[i, j] says [r_i, r_j] is in N."""
+    group = nsub.group
+    reps, coset = np.unique(group.mul[:, nsub.ids].min(axis=1), return_inverse=True)
+    prod = coset[group.mul[np.ix_(reps, reps)]]  # [r_i, r_j] in N iff r_i r_j N = r_j r_i N
+    return coset, prod == prod.T
+
+
 def _quotient_bound(sid: str, chain: list[Subset], nsub: Subset, ambient: bool) -> Fraction:
     """pr(AN/N, G/N) pr(A^4 n N, N) if ambient, else pr(AN/N, AN/N) pr(A^4 n N, A^2 n N).
 
     chain is the power chain [A, A^2, ...] of A, at least up to A^4.
     """
-    qmap = _quotient_by(sid, nsub)
-    image = qmap.image(chain[0])
+    a4n = chain[3] & nsub  # GroupMismatch before A's ids index N's arrays
+    _require(is_normal(nsub), sid, "N must be a normal subgroup")
+    coset, commute = nsub.derived("cosets", lambda: _coset_arrays(nsub))
+    image = np.unique(coset[chain[0].ids])
     if ambient:
-        over, inner = Subset.full(qmap.target), nsub
+        pairs, inner = commute[image], nsub
     else:
-        over, inner = image, chain[1] & nsub
-    return commuting_probability(image, over) * commuting_probability(chain[3] & nsub, inner)
+        pairs, inner = commute[np.ix_(image, image)], chain[1] & nsub
+    return Fraction(int(pairs.sum()), pairs.size) * commuting_probability(a4n, inner)
 
 
 def _quot_corpus(group: Group, roles: dict) -> Iterator[dict]:

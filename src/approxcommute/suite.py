@@ -10,6 +10,7 @@ deterministic: the only non-reproducible content lives under "timing".
 
 from __future__ import annotations
 
+import os
 import shlex
 import time
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .errors import SpecParseError
+from .errors import OutputError, SpecParseError
 from .group import Group
 from .rng import SplitMix64, derive_seed
 from .specio import (
@@ -82,6 +83,8 @@ class SuiteConfig:
         if cfg.order_cap is not None and cfg.order_cap < 1:
             raise SpecParseError(f"config order_cap must be positive, got {cfg.order_cap}")
         if cfg.statements is not None:
+            if not cfg.statements:
+                raise SpecParseError("config statements must name at least one statement")
             bad = [s for s in cfg.statements if s not in statement_ids()]
             if bad:
                 raise SpecParseError(f"unknown statement ids in config: {bad}")
@@ -131,14 +134,24 @@ def _repro_command(config: SuiteConfig, sid: str, key: str) -> str:
     return shlex.join(parts)
 
 
+def _require_writable(path: str) -> None:
+    target = Path(path)
+    if target.is_dir():
+        raise SpecParseError(f"output path {path} is a directory")
+    if not (target.parent.is_dir() and os.access(target.parent, os.W_OK)):
+        raise SpecParseError(f"output path {path} is not in a writable directory")
+
+
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Run the corpus and random passes, then the witness pipelines."""
+    """Refuse an output path that cannot be written, then run both passes and the witnesses."""
     t_start = time.perf_counter()
     from .group import current_order_cap
 
+    if config.output_path:
+        _require_writable(config.output_path)
     cap = config.order_cap if config.order_cap is not None else current_order_cap()
     groups = _load_corpus(config, cap)
-    sids = list(config.statements) if config.statements else statement_ids()
+    sids = statement_ids() if config.statements is None else list(config.statements)
     statements_out: dict[str, dict] = {}
     timing_stmt: dict[str, float] = {}
 
@@ -231,5 +244,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     if config.output_path:
         from .specio import dump_json
 
-        Path(config.output_path).write_text(dump_json(report.document()))
+        try:
+            Path(config.output_path).write_text(dump_json(report.document()))
+        except OSError as exc:
+            raise OutputError(f"cannot write {config.output_path}: {exc}") from exc
     return report

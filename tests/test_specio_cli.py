@@ -1,9 +1,12 @@
 """Wire formats and the command-line interface."""
 
+import errno
 import json
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +356,41 @@ def test_cli_verify_output_file(capsys, tmp_path):
     assert doc["witnesses"] == []
 
 
+def _s3_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": [S3_PERM_SPEC], "statements": ["L2.5b"]}))
+    return ["verify", "--config", str(cfg), "--instances", "1", "--skip-witnesses"]
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_cli_verify_refuses_an_unwritable_output_before_the_run(capsys, tmp_path, target):
+    argv = _s3_config(tmp_path) + ["--output", str(tmp_path / target)]
+    code, out, err = run_cli(capsys, *argv)
+    # one line: the refusal, and no per-statement line of a run
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class _FullStream:
+    write = flush = staticmethod(_no_space)
+
+
+def test_cli_write_error_exits_1_with_one_line(capsys, monkeypatch, tmp_path):
+    argv = _s3_config(tmp_path) + ["--output", str(tmp_path / "report.json")]
+    monkeypatch.setattr(Path, "write_text", _no_space)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "No space left" in err.strip().splitlines()[-1]
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    code, _, err = run_cli(capsys, "pr", "C12", "all", "all")
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and "No space left" in err
+
+
 def test_cli_exit_codes(capsys):
     # Unknown subcommand is a usage error.
     assert main(["frobnicate"]) == 2
@@ -437,6 +475,7 @@ def test_cli_bad_input_exits_2_with_one_line(capsys, argv):
         ("config", {"order_cap": "x"}),
         ("config", {"order_cap": 0}),
         ("config", {"statements": 5}),
+        ("config", {"statements": []}),
         ("config", {"corpus": 5}),
         ("config", {"output_path": 5}),
     ],

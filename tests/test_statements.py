@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from approxcommute import (
+    GroupMismatch,
     HypothesisViolated,
     centralizer_in,
     REGISTRY,
@@ -28,6 +29,7 @@ from oracles import (
     oracle_centralizer,
     oracle_class,
     oracle_commutator_subgroup,
+    oracle_normal_subgroups,
     oracle_power,
     oracle_pr,
     oracle_product,
@@ -192,6 +194,58 @@ def test_quotient_requires_normal_subgroup(s3):
     not_normal = Subset.from_ids(s3, [0, ts[0]])
     with pytest.raises(HypothesisViolated):
         check("P2.1", a=Subset.full(s3), nsub=not_normal)
+
+
+QUOTIENT_IDS = ("P2.1", "P2.2", "C2.3a", "C2.3b")
+
+
+@pytest.mark.parametrize("name", ["S4", "D4", "Q8", "A4", "S3xS3"])
+def test_quotient_bounds_match_the_oracles_on_every_normal_subgroup(name):
+    # Sets of density 1/6 often leave AN/N short of G/N, so the restricted
+    # factor differs from the ambient one; on S3 x S3 this seed also draws
+    # sets whose A^5 n N outgrows A^4 n N in a way pr(-, N) sees.
+    if name == "S3xS3":
+        group = direct_product(symmetric(3), symmetric(3))
+    else:
+        group = corpus.named(name)
+    mul, inv = group.mul.tolist(), inverse_map(group.mul.tolist())
+    stream = SplitMix64(derive_seed(5, "quotient-oracle", name))
+    sets = [Subset.full(group)]
+    sets += [statements.random_symmetric_subset(group, Fraction(1, 6), stream) for _ in range(2)]
+    for a in sets:
+        a_ids = a.id_list()
+        pw = {j: oracle_power(a_ids, j, mul) for j in (2, 3, 4, 5)}
+        for nids in map(sorted, oracle_normal_subgroups(mul)):
+            nsub = Subset.from_ids(group, nids)
+            a4n = sorted(pw[4] & set(nids))
+            ambient = oracle_quotient_pr(a_ids, range(group.order), nids, mul, inv)
+            ambient *= oracle_pr(a4n, nids, mul)
+            restricted = oracle_quotient_pr(a_ids, a_ids, nids, mul, inv)
+            restricted *= oracle_pr(a4n, sorted(pw[2] & set(nids)), mul)
+            want = {
+                "P2.1": Fraction(len(pw[5]), a.size) * ambient,
+                "P2.2": Fraction(len(pw[3]) * len(pw[5]), a.size**2) * restricted,
+                "C2.3a": 2**4 * ambient,
+                "C2.3b": 2**6 * restricted,
+            }
+            for sid in QUOTIENT_IDS:
+                k = {"k": 2} if sid.startswith("C") else {}
+                assert check(sid, a=a, nsub=nsub, **k).rhs == want[sid], (sid, a, nsub)
+
+
+@pytest.mark.parametrize("sid", QUOTIENT_IDS)
+def test_quotient_statements_refuse_a_bad_n_or_another_group(sid, s3):
+    ts, _, n = s3_pieces(s3)
+    k = {"k": 2} if sid.startswith("C") else {}
+    with pytest.raises(HypothesisViolated):
+        check(sid, a=Subset.full(s3), nsub=Subset.from_ids(s3, [0, ts[0]]), **k)
+    # C6 has the order of S3 and a normal N of order 3, so A's ids would
+    # index N's arrays without an error.
+    c6 = cyclic(6)
+    with pytest.raises(GroupMismatch):
+        check(sid, a=Subset.full(s3), nsub=Subset.from_ids(c6, [0, 2, 4]), **k)
+    with pytest.raises(GroupMismatch):
+        check(sid, a=Subset.full(c6), nsub=n, **k)
 
 
 def test_symmetry_and_identity_hypotheses(s3):
@@ -409,7 +463,7 @@ def test_default_k_uses_certificate(monkeypatch):
         calls.clear()
         auto = sides()
         assert auto == sides(k=2) != sides(k=1), sid
-        # The greedy k is memoised on the group: a second check certifies nothing.
+        # The greedy k is memoised on the set: a second check of it certifies nothing.
         assert sides() == auto and len(calls) == 1, sid
         with pytest.raises(ValueError):
             check(sid, k=0, **inputs)

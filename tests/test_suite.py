@@ -235,6 +235,14 @@ def test_empty_corpus_rejected():
         run_suite(SuiteConfig.from_dict({"corpus": []}))
 
 
+def test_empty_statement_list_is_refused_and_only_none_means_all():
+    with pytest.raises(SpecParseError):
+        SuiteConfig.from_dict({"statements": []})
+    cfg = SuiteConfig(corpus=[S3_SPEC], statements=[], random_instances_per_statement=0)
+    cfg.run_witnesses = False
+    assert run_suite(cfg).payload["statements"] == {}
+
+
 def test_failure_records_carry_repro_command(monkeypatch):
     import approxcommute.suite as suite_mod
     from approxcommute.statements import CheckResult
